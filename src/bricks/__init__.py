@@ -36,7 +36,6 @@ from .geometry import (
     Point3,
     Scalar,
     Vec3,
-    brick_elements,
     brick_from_box,
     classify_contact,
     scalar,
@@ -50,7 +49,7 @@ from .refinement import (
     apply_schedule,
     octasect,
     quarter_lengthwise,
-    split_at,
+    split_many,
     standard_zz_schedule,
     two_opposite_covered,
 )
@@ -65,4 +64,22 @@ from .surface import (
     voxel_chi,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # complexes
+    "BrickComplex", "BrickGraph", "ValidationReport", "brick_complex",
+    "brick_graph", "component_count", "corners", "degree_histogram",
+    "validate",
+    # constructions
+    "ZZParams", "fixture", "fixture_names", "random_rectilinear",
+    "table_buttressed_octahedron", "table_zz", "zz_embedded", "zz_immersed",
+    # geometry
+    "Brick", "Contact", "ContactKind", "Point3", "Scalar", "Vec3",
+    "brick_from_box", "classify_contact", "scalar", "vec3",
+    # refinement
+    "Keep", "Octasect", "QuarterLengthwise", "SplitAt", "apply_schedule",
+    "octasect", "quarter_lengthwise", "split_many", "standard_zz_schedule",
+    "two_opposite_covered",
+    # surface
+    "PieceRow", "PieceTable", "SurfaceStats", "exposed_faces",
+    "genus_from_chi", "piece_table_chi", "surface_stats", "voxel_chi",
+]

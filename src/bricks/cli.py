@@ -13,8 +13,6 @@ import json
 import sys
 
 from .complexes import (
-    BrickComplex,
-    ComplexError,
     brick_graph,
     component_count,
     corners,
@@ -26,13 +24,10 @@ from .constructions import (
     ZZParams,
     fixture,
     fixture_names,
-    table_buttressed_octahedron,
-    table_zz,
     zz_embedded,
     zz_immersed,
 )
 from .fileformats import (
-    ParseError,
     emit_complex,
     export_obj,
     parse_complex,
@@ -41,14 +36,7 @@ from .fileformats import (
 )
 from .geometry import GeometryError, format_scalar, scalar
 from .refinement import RefinementError, apply_schedule, standard_zz_schedule
-from .surface import (
-    TopologyError,
-    VoxelError,
-    genus_from_chi,
-    piece_table_chi,
-    surface_stats,
-    voxel_chi,
-)
+from .surface import VoxelError, piece_table_chi, surface_stats, voxel_chi
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -61,13 +49,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_complex(path: str) -> BrickComplex:
+def _read(path: str, parse):
+    """parse() the UTF-8 text of a file; any failure is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_complex(handle.read())
+            return parse(handle.read())
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except (ParseError, ComplexError, GeometryError) as exc:
+    except ValueError as exc:  # parse errors and undecodable bytes alike
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -96,7 +85,7 @@ def _contact_record(pc) -> dict:
 
 
 def cmd_validate(args) -> int:
-    complex = _read_complex(args.input)
+    complex = _read(args.input, parse_complex)
     report = validate(complex)
     document = {
         "command": "validate",
@@ -114,7 +103,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    complex = _read_complex(args.input)
+    complex = _read(args.input, parse_complex)
     report = validate(complex)
     graph = brick_graph(complex, report)
     corner_list = corners(graph)
@@ -144,17 +133,11 @@ def cmd_graph(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    complex = _read_complex(args.input)
+    complex = _read(args.input, parse_complex)
     if args.standard_zz:
         schedule = standard_zz_schedule(complex)
     elif args.schedule:
-        try:
-            with open(args.schedule, "r", encoding="utf-8") as handle:
-                schedule = parse_schedule(handle.read())
-        except OSError as exc:
-            raise CliError(f"cannot read {args.schedule}: {exc}") from exc
-        except ParseError as exc:
-            raise CliError(f"{args.schedule}: {exc}") from exc
+        schedule = _read(args.schedule, parse_schedule)
     else:
         schedule = {}
     try:
@@ -170,7 +153,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    complex = _read_complex(args.input)
+    complex = _read(args.input, parse_complex)
     report = validate(complex)
     stats = surface_stats(complex, report)
     document = {
@@ -185,15 +168,8 @@ def cmd_genus(args) -> int:
         "vertex_manifold": stats.vertex_manifold,
         "genus": stats.genus,
     }
-    if stats.genus is None:
-        try:
-            genus_from_chi(
-                stats.chi,
-                stats.surface_components,
-                stats.edge_manifold and stats.vertex_manifold,
-            )
-        except TopologyError as exc:
-            document["genus_unavailable"] = str(exc)
+    if stats.genus_reason:
+        document["genus_unavailable"] = stats.genus_reason
     if args.oracle:
         try:
             document["oracle_chi"] = voxel_chi(complex, scalar(args.resolution))
@@ -209,13 +185,7 @@ def cmd_genus(args) -> int:
 
 
 def cmd_table_chi(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            table = parse_piece_table(handle.read())
-    except OSError as exc:
-        raise CliError(f"cannot read {args.input}: {exc}") from exc
-    except (ParseError, ValueError) as exc:
-        raise CliError(f"{args.input}: {exc}") from exc
+    table = _read(args.input, parse_piece_table)
     totals = piece_table_chi(table)
     document = {
         "command": "table-chi",
@@ -245,12 +215,6 @@ def cmd_table_chi(args) -> int:
     return EXIT_OK
 
 
-BUILTIN_TABLES = {
-    "buttressed-octahedron": table_buttressed_octahedron,
-    "zz": table_zz,
-}
-
-
 def cmd_build(args) -> int:
     try:
         if args.name in ("zz-immersed", "zz-embedded"):
@@ -268,7 +232,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_export_obj(args) -> int:
-    complex = _read_complex(args.input)
+    complex = _read(args.input, parse_complex)
     report = validate(complex) if args.exposed_only else None
     mesh = export_obj(complex, report, exposed_only=args.exposed_only)
     _write_output(mesh, args.output)

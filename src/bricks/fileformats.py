@@ -28,7 +28,7 @@ from .refinement import (
     RefineOp,
     SplitAt,
 )
-from .surface import PieceRow, PieceTable
+from .surface import PieceRow, PieceTable, covered_faces
 
 
 class ParseError(ValueError):
@@ -237,8 +237,6 @@ def export_obj(
     With exposed_only, only faces not covered by a whole-face contact are
     emitted, so the quad count equals the surface face count.
     """
-    from .surface import covered_faces
-
     covered: set = set()
     if exposed_only:
         if report is None:

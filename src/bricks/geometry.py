@@ -175,14 +175,6 @@ def opposite_face(face_index: int) -> int:
     return face_index ^ 1
 
 
-def face_generator(face_index: int) -> int:
-    """Generator direction k for face index 2*k + side."""
-    return face_index // 2
-
-
-FACE_NAMES = ("u-", "u+", "v-", "v+", "w-", "w+")
-
-
 # --- the brick ------------------------------------------------------------
 
 
@@ -216,10 +208,6 @@ class Brick:
     @cached_property
     def det(self) -> Scalar:
         return det3(self.u, self.v, self.w)
-
-    @property
-    def volume(self) -> Scalar:
-        return self.det
 
     @cached_property
     def vertices(self) -> tuple[Point3, ...]:
@@ -303,18 +291,6 @@ class Brick:
                 return None
         return self.aabb
 
-    def face_index_at(self, axis: int, coordinate: Scalar) -> Optional[int]:
-        """For a rectilinear brick: face index of the facet in the plane
-        ``axis = coordinate``, or None."""
-        for k, g in enumerate(self.generators):
-            if g[axis] != 0:
-                if self.origin[axis] == coordinate:
-                    return 2 * k
-                if self.origin[axis] + g[axis] == coordinate:
-                    return 2 * k + 1
-                return None
-        return None
-
 
 def brick_from_box(min_corner, max_corner, id: str) -> Brick:
     """Axis-aligned brick spanning [min, max]; extents must be positive."""
@@ -328,15 +304,6 @@ def brick_from_box(min_corner, max_corner, id: str) -> Brick:
     return Brick(
         id, lo, Vec3(ext.x, 0, 0), Vec3(0, ext.y, 0), Vec3(0, 0, ext.z)
     )
-
-
-def brick_elements(b: Brick):
-    """The 8 vertices, 12 edge segments, and 6 face corner cycles of a brick,
-    in canonical order."""
-    verts = b.vertices
-    edges = tuple((verts[i], verts[j]) for i, j in EDGE_CODES)
-    faces = tuple(b.face_polygon(f) for f in range(6))
-    return verts, edges, faces
 
 
 # --- contact classification ------------------------------------------------

@@ -4,17 +4,18 @@ Octasection partitions a brick into eight sub-bricks from its center;
 lengthwise quartering splits the cross-section perpendicular to the
 strictly longest generator at its midpoints. Both preserve the point set
 and total volume exactly, and refinement of a properly joined complex is
-asserted to stay properly joined.
+checked to stay properly joined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Mapping, Union
 
 from .complexes import BrickComplex, ValidationReport, validate
-from .geometry import Brick, Scalar, Vec3, opposite_face
+from .geometry import Brick, Scalar, opposite_face
 
 
 class RefinementError(ValueError):
@@ -48,31 +49,34 @@ RefinementSchedule = Mapping[str, RefineOp]
 HALF = Fraction(1, 2)
 
 
-def _child(parent: Brick, label: str, origin: Vec3, gens) -> Brick:
-    return Brick(label, origin, gens[0], gens[1], gens[2])
+def _grid(b: Brick, cuts, label) -> tuple[Brick, ...]:
+    """Cut b at the fractions cuts[k] along each generator k.
 
-
-def split_at(b: Brick, direction: int, t: Scalar) -> tuple[Brick, Brick]:
-    """Split b across generator `direction` at fraction t in (0, 1).
-
-    The two children tile b and share a whole face of each, so they are
-    properly joined and adjacent.
+    Children come in lexicographic cell order; the cell (i, j, k) is
+    labeled ``id/`` + label((i, j, k)). The cells tile b exactly.
     """
-    if not 0 < t < 1:
-        raise RefinementError(f"split fraction {t} outside (0, 1)")
-    gens = list(b.generators)
-    g = gens[direction]
-    first = list(gens)
-    first[direction] = g.scale(t)
-    second = list(gens)
-    second[direction] = g.scale(1 - t)
-    lo = _child(b, f"{b.id}/0", b.origin, first)
-    hi = _child(b, f"{b.id}/1", b.origin + g.scale(t), second)
-    return lo, hi
+    slabs = []  # per generator: (offset, edge) of each slab along it
+    for g, fs in zip(b.generators, cuts):
+        ts = (0, *fs, 1)
+        slabs.append(
+            [(g.scale(lo), g.scale(hi - lo)) for lo, hi in zip(ts, ts[1:])]
+        )
+    children = []
+    for cell in product(*(range(len(s)) for s in slabs)):
+        origin = b.origin
+        for s, i in zip(slabs, cell):
+            if i:
+                origin = origin + s[i][0]
+        gens = [s[i][1] for s, i in zip(slabs, cell)]
+        children.append(Brick(f"{b.id}/{label(cell)}", origin, *gens))
+    return tuple(children)
 
 
 def split_many(b: Brick, direction: int, fractions) -> tuple[Brick, ...]:
-    """Split b into len(fractions)+1 slabs at strictly increasing fractions."""
+    """Split b into len(fractions)+1 slabs at strictly increasing fractions.
+
+    Adjacent slabs share a whole face of each, so they are properly joined.
+    """
     fs = list(fractions)
     if not fs:
         return (b,)
@@ -82,18 +86,8 @@ def split_many(b: Brick, direction: int, fractions) -> tuple[Brick, ...]:
         raise RefinementError(
             f"fractions {fs} must be strictly increasing within (0, 1)"
         )
-    gens = list(b.generators)
-    g = gens[direction]
-    cuts = [0] + fs + [1]
-    children = []
-    for i in range(len(cuts) - 1):
-        span = cuts[i + 1] - cuts[i]
-        child_gens = list(gens)
-        child_gens[direction] = g.scale(span)
-        children.append(
-            _child(b, f"{b.id}/s{i}", b.origin + g.scale(cuts[i]), child_gens)
-        )
-    return tuple(children)
+    cuts = [fs if k == direction else () for k in range(3)]
+    return _grid(b, cuts, lambda cell: f"s{cell[direction]}")
 
 
 def octasect(b: Brick) -> tuple[Brick, ...]:
@@ -102,22 +96,7 @@ def octasect(b: Brick) -> tuple[Brick, ...]:
     Children are labeled id/abc over the octant coefficients; each child is
     face-adjacent to exactly three siblings.
     """
-    u, v, w = (g.scale(HALF) for g in b.generators)
-    children = []
-    for a in (0, 1):
-        for bb in (0, 1):
-            for c in (0, 1):
-                origin = b.origin
-                if a:
-                    origin = origin + u
-                if bb:
-                    origin = origin + v
-                if c:
-                    origin = origin + w
-                children.append(
-                    _child(b, f"{b.id}/{a}{bb}{c}", origin, (u, v, w))
-                )
-    return tuple(children)
+    return _grid(b, [(HALF,)] * 3, lambda cell: "".join(map(str, cell)))
 
 
 def long_direction(b: Brick) -> int:
@@ -140,20 +119,9 @@ def quarter_lengthwise(b: Brick, long_dir: int | None = None) -> tuple[Brick, ..
     two end faces are partitioned into quarters.
     """
     long_idx = long_direction(b) if long_dir is None else long_dir
-    cross = [i for i in range(3) if i != long_idx]
-    gens = list(b.generators)
-    halved = list(gens)
-    for i in cross:
-        halved[i] = gens[i].scale(HALF)
-    children = []
-    for q, (s, t) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        origin = b.origin
-        if s:
-            origin = origin + halved[cross[0]]
-        if t:
-            origin = origin + halved[cross[1]]
-        children.append(_child(b, f"{b.id}/q{q}", origin, halved))
-    return tuple(children)
+    c0, c1 = (k for k in range(3) if k != long_idx)
+    cuts = [() if k == long_idx else (HALF,) for k in range(3)]
+    return _grid(b, cuts, lambda cell: f"q{2 * cell[c0] + cell[c1]}")
 
 
 def expand(b: Brick, op: RefineOp) -> tuple[Brick, ...]:
@@ -171,7 +139,7 @@ def expand(b: Brick, op: RefineOp) -> tuple[Brick, ...]:
 def apply_schedule(complex: BrickComplex, schedule: RefinementSchedule) -> BrickComplex:
     """Replace each scheduled brick by its children (unlisted bricks Keep).
 
-    Exact postconditions, asserted: total volume is conserved, and a
+    Exact postconditions, checked: total volume is conserved, and a
     properly joined input yields a properly joined output.
     """
     unknown = set(schedule) - set(complex.labels)
@@ -181,8 +149,8 @@ def apply_schedule(complex: BrickComplex, schedule: RefinementSchedule) -> Brick
     for b in complex.bricks:
         out.extend(expand(b, schedule.get(b.id, Keep())))
     refined = BrickComplex(tuple(out), name=complex.name, note=complex.note)
-    before = sum(b.volume for b in complex.bricks)
-    after = sum(b.volume for b in refined.bricks)
+    before = sum(b.det for b in complex.bricks)
+    after = sum(b.det for b in refined.bricks)
     if before != after:
         raise RefinementError(f"volume not conserved: {before} -> {after}")
     if validate(complex).properly_joined:

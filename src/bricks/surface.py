@@ -58,7 +58,7 @@ class SurfaceStats:
     """Counts of the exposed boundary complex and derived topology flags.
 
     genus is present only when the surface is edge- and vertex-manifold and
-    connected; then chi = 2 - 2*genus.
+    connected; then chi = 2 - 2*genus. Otherwise genus_reason says why not.
     """
 
     vertex_count: int
@@ -69,6 +69,7 @@ class SurfaceStats:
     edge_manifold: bool
     vertex_manifold: bool
     genus: Optional[int]
+    genus_reason: Optional[str] = None
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.vertex_count, self.edge_count, self.face_count, self.chi)
@@ -87,6 +88,16 @@ def genus_from_chi(chi: int, components: int = 1, manifold: bool = True) -> int:
     if chi > 2:
         raise TopologyError(f"genus undefined: chi = {chi} exceeds 2")
     return (2 - chi) // 2
+
+
+def _genus_and_reason(
+    chi: int, components: int = 1, manifold: bool = True
+) -> tuple[Optional[int], Optional[str]]:
+    """genus_from_chi, or None and the reason the genus is undefined."""
+    try:
+        return genus_from_chi(chi, components, manifold), None
+    except TopologyError as exc:
+        return None, str(exc)
 
 
 def covered_faces(report: ValidationReport) -> set[tuple[str, int]]:
@@ -199,12 +210,9 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
 
     vertex_manifold = _vertex_umbrellas_are_cycles(exposed, vertex_uf, edge_uf)
 
-    genus: Optional[int] = None
-    if edge_manifold and vertex_manifold and components == 1:
-        try:
-            genus = genus_from_chi(chi, components, True)
-        except TopologyError:
-            genus = None
+    genus, genus_reason = _genus_and_reason(
+        chi, components, edge_manifold and vertex_manifold
+    )
 
     return SurfaceStats(
         vertex_count=v_count,
@@ -215,6 +223,7 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
         edge_manifold=edge_manifold,
         vertex_manifold=vertex_manifold,
         genus=genus,
+        genus_reason=genus_reason,
     )
 
 
@@ -302,11 +311,7 @@ def piece_table_chi(table: PieceTable) -> TableTotals:
     e = sum(r.multiplicity * r.edges for r in table.rows)
     f = sum(r.multiplicity * r.faces for r in table.rows)
     chi = v - e + f
-    try:
-        genus, reason = genus_from_chi(chi), None
-    except TopologyError as exc:
-        genus, reason = None, str(exc)
-    return TableTotals(v, e, f, chi, genus, reason)
+    return TableTotals(v, e, f, chi, *_genus_and_reason(chi))
 
 
 # --- voxel oracle -----------------------------------------------------------

@@ -164,11 +164,11 @@ def test_criterion_7_refinement_invariants():
     for name in names:
         c = fixture(name)
         r = validate(c)
-        before_volume = sum(b.volume for b in c.bricks)
+        before_volume = sum(b.det for b in c.bricks)
         before_chi = surface_stats(c, r).chi
         refined = apply_schedule(c, standard_zz_schedule(c))
         rr = validate(refined)
-        assert sum(b.volume for b in refined.bricks) == before_volume, name
+        assert sum(b.det for b in refined.bricks) == before_volume, name
         if r.properly_joined:
             assert rr.properly_joined, name
         assert surface_stats(refined, rr).chi == before_chi, name

@@ -234,3 +234,28 @@ class TestDeterminism:
         assert results[0] == results[1]
         meshes = [run(capsys, "export-obj", zz_file)[1] for _ in range(2)]
         assert meshes[0] == meshes[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{bad}"],
+        ["graph", "{bad}"],
+        ["genus", "{bad}"],
+        ["export-obj", "{bad}"],
+        ["table-chi", "{bad}"],
+        ["refine", "{good}", "--schedule", "{bad}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_utf8_input_exits_two(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"brick a 0 0 0 1 0 0 0 1 0 0 0 1\n\xff\n")
+    good = tmp_path / "good.bricks"
+    good.write_text("brick a 0 0 0 1 0 0 0 1 0 0 0 1\n")
+    code, _, err = run(
+        capsys, *(a.format(bad=bad, good=good) for a in argv)
+    )
+    assert code == 2
+    assert f"error: {bad}: " in err
+    assert "Traceback" not in err

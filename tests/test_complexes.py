@@ -10,6 +10,7 @@ from bricks.complexes import (
     BrickComplex,
     ComplexError,
     StaleReportError,
+    ValidationReport,
     brick_complex,
     brick_graph,
     component_count,
@@ -101,6 +102,15 @@ def test_stale_report_rejected():
     a, b = fixture("cube"), fixture("column-3")
     with pytest.raises(StaleReportError):
         brick_graph(b, validate(a))
+
+
+def test_repeated_pair_report_rejected():
+    c = cubes_at((0, 0, 0), (1, 0, 0))
+    report = validate(c)
+    (pc,) = report.whole_face_contacts()
+    doubled = ValidationReport(labels=report.labels, contacts=(pc, pc))
+    with pytest.raises(StaleReportError, match="twice"):
+        brick_graph(c, doubled)
 
 
 def test_component_count():

@@ -18,7 +18,6 @@ from bricks.geometry import (
     GeometryError,
     _affine_dim,
     _intersection_vertices,
-    brick_elements,
     brick_from_box,
     classify_contact,
     det3,
@@ -65,7 +64,7 @@ class TestBrick:
         b = box((28, 38, 48), (32, 42, 52), "C1")
         center = b.origin + (b.u + b.v + b.w).scale(Fraction(1, 2))
         assert center == vec3(30, 40, 50)
-        assert b.volume == 64
+        assert b.det == 64
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(GeometryError):
@@ -83,11 +82,11 @@ class TestBrick:
         assert set(b.vertices) == set(UNIT.vertices)
 
     def test_unit_cube_vertices_are_binary_points(self):
-        verts, edges, faces = brick_elements(UNIT)
-        assert list(verts) == [
+        assert list(UNIT.vertices) == [
             vec3(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)
         ]
-        assert len(edges) == 12 and len(faces) == 6
+        assert len(set(UNIT.edge_segments)) == 12
+        assert len({UNIT.face_polygon(f) for f in range(6)}) == 6
 
     def test_skew_vertex_sum(self):
         b = Brick("s", vec3(0, 0, 0), vec3(10, 20, 20), vec3(0, 10, 0), vec3(0, 0, 10))

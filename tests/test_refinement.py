@@ -17,7 +17,7 @@ from bricks.refinement import (
     is_cube_shaped,
     octasect,
     quarter_lengthwise,
-    split_at,
+    split_many,
     standard_zz_schedule,
     two_opposite_covered,
 )
@@ -27,25 +27,27 @@ HALF = Fraction(1, 2)
 
 
 class TestSplitAt:
+    """split_many with a single fraction: the SplitAt operator's base case."""
+
     def test_unit_cube_halves(self):
-        lo, hi = split_at(UNIT, 0, HALF)
+        lo, hi = split_many(UNIT, 0, [HALF])
         assert lo.u == vec3(HALF, 0, 0) and hi.u == vec3(HALF, 0, 0)
         assert hi.origin == vec3(HALF, 0, 0)
-        assert lo.id == "unit/0" and hi.id == "unit/1"
+        assert lo.id == "unit/s0" and hi.id == "unit/s1"
 
     def test_skew_halving_is_linear(self):
         b = Brick("s", vec3(0, 0, 0), vec3(10, 20, 20), vec3(0, 10, 0), vec3(0, 0, 10))
-        lo, hi = split_at(b, 0, HALF)
+        lo, hi = split_many(b, 0, [HALF])
         assert lo.u == vec3(5, 10, 10) and hi.u == vec3(5, 10, 10)
 
     def test_children_share_a_whole_face(self):
-        lo, hi = split_at(UNIT, 2, Fraction(1, 3))
+        lo, hi = split_many(UNIT, 2, [Fraction(1, 3)])
         assert classify_contact(lo, hi).kind is ContactKind.WHOLE_FACE
 
     @pytest.mark.parametrize("t", [0, 1, Fraction(3, 2), -1])
     def test_bad_fraction_rejected(self, t):
         with pytest.raises(RefinementError):
-            split_at(UNIT, 0, t)
+            split_many(UNIT, 0, [t])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -54,8 +56,8 @@ class TestSplitAt:
     )
     def test_volume_conserved(self, direction, t):
         b = Brick("s", vec3(1, 2, 3), vec3(4, 1, 0), vec3(0, 3, 1), vec3(1, 0, 5))
-        lo, hi = split_at(b, direction, t)
-        assert lo.volume + hi.volume == b.volume
+        lo, hi = split_many(b, direction, [t])
+        assert lo.det + hi.det == b.det
 
 
 class TestOctasect:
@@ -67,7 +69,7 @@ class TestOctasect:
         }
         for c in children:
             assert c.u == vec3(HALF, 0, 0)
-            assert c.volume == Fraction(1, 8)
+            assert c.det == Fraction(1, 8)
 
     def test_rectangular_box(self):
         b = brick_from_box((0, 0, 0), (2, 4, 6), "r")
@@ -87,7 +89,7 @@ class TestOctasect:
 
     def test_volume_conserved(self):
         b = Brick("s", vec3(0, 0, 0), vec3(3, 1, 0), vec3(0, 2, 1), vec3(1, 0, 4))
-        assert sum(c.volume for c in octasect(b)) == b.volume
+        assert sum(c.det for c in octasect(b)) == b.det
 
 
 class TestQuarterLengthwise:
@@ -144,7 +146,7 @@ class TestApplySchedule:
         c = fixture("cube")
         refined = apply_schedule(c, {c.labels[0]: Octasect()})
         assert len(refined) == 8
-        assert sum(b.volume for b in refined.bricks) == 1
+        assert sum(b.det for b in refined.bricks) == 1
 
     def test_unknown_label_rejected(self):
         with pytest.raises(RefinementError):
@@ -156,7 +158,7 @@ class TestApplySchedule:
             c, {c.labels[0]: SplitAt(0, (Fraction(1, 4), HALF))}
         )
         assert len(refined) == 3
-        assert sum(b.volume for b in refined.bricks) == 1
+        assert sum(b.det for b in refined.bricks) == 1
 
     def test_bad_split_fractions_rejected(self):
         c = fixture("cube")
@@ -172,8 +174,8 @@ class TestApplySchedule:
         assert validate(c).properly_joined
         refined = apply_schedule(c, standard_zz_schedule(c))
         assert validate(refined).properly_joined
-        assert sum(b.volume for b in refined.bricks) == sum(
-            b.volume for b in c.bricks
+        assert sum(b.det for b in refined.bricks) == sum(
+            b.det for b in c.bricks
         )
 
 

@@ -124,6 +124,23 @@ class TestSurfaceStats:
         assert s.chi == 4
         assert s.genus is None
 
+    def test_genus_reason_says_why_genus_is_undefined(self):
+        assert stats_of(fixture("cube")).genus_reason is None
+        pinched = brick_complex(
+            [
+                brick_from_box((0, 0, 0), (1, 1, 1), "a"),
+                brick_from_box((1, 1, 1), (2, 2, 2), "b"),
+            ]
+        )
+        assert "not a manifold" in stats_of(pinched).genus_reason
+        apart = brick_complex(
+            [
+                brick_from_box((0, 0, 0), (1, 1, 1), "a"),
+                brick_from_box((3, 3, 3), (4, 4, 4), "b"),
+            ]
+        )
+        assert "2 components" in stats_of(apart).genus_reason
+
     def test_cavity_adds_a_component(self):
         shell = fixture("shell-3x3x3")
         s = stats_of(shell)
