@@ -174,7 +174,7 @@ def cmd_genus(args) -> int:
         try:
             document["oracle_chi"] = voxel_chi(complex, scalar(args.resolution))
             document["oracle_agrees"] = document["oracle_chi"] == stats.chi
-        except VoxelError as exc:
+        except (GeometryError, VoxelError) as exc:
             raise CliError(f"--oracle: {exc}") from exc
     summary = (
         f"{complex.name or args.input}: chi={stats.chi}"
@@ -234,7 +234,7 @@ def cmd_build(args) -> int:
 def cmd_export_obj(args) -> int:
     complex = _read(args.input, parse_complex)
     report = validate(complex) if args.exposed_only else None
-    mesh = export_obj(complex, report, exposed_only=args.exposed_only)
+    mesh = export_obj(complex, report)
     _write_output(mesh, args.output)
     quads = sum(1 for line in mesh.splitlines() if line.startswith("f "))
     print(f"{complex.name or args.input}: {quads} quads", file=sys.stderr)

@@ -29,7 +29,6 @@ class BrickComplex:
 
     bricks: tuple[Brick, ...]
     name: str = ""
-    note: str = ""
 
     def __post_init__(self):
         seen = set()
@@ -55,8 +54,8 @@ class BrickComplex:
         raise ComplexError(f"no brick labeled {label!r}")
 
 
-def brick_complex(bricks: Iterable[Brick], name: str = "", note: str = "") -> BrickComplex:
-    return BrickComplex(tuple(bricks), name=name, note=note)
+def brick_complex(bricks: Iterable[Brick], name: str = "") -> BrickComplex:
+    return BrickComplex(tuple(bricks), name=name)
 
 
 @dataclass(frozen=True)

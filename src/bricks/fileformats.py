@@ -11,11 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import BrickComplex, ComplexError, ValidationReport, brick_complex
+from .complexes import BrickComplex, ValidationReport, brick_complex
 from .geometry import (
     Brick,
     GeometryError,
-    Point3,
     Scalar,
     Vec3,
     format_scalar,
@@ -28,7 +27,7 @@ from .refinement import (
     RefineOp,
     SplitAt,
 )
-from .surface import PieceRow, PieceTable, covered_faces
+from .surface import PieceRow, PieceTable, exposed_faces
 
 
 class ParseError(ValueError):
@@ -228,28 +227,20 @@ def _decimal(q: Scalar) -> str:
 
 
 def export_obj(
-    complex: BrickComplex,
-    report: Optional[ValidationReport] = None,
-    exposed_only: bool = False,
+    complex: BrickComplex, report: Optional[ValidationReport] = None
 ) -> str:
     """Quad mesh of brick faces; deterministic vertex ordering.
 
-    With exposed_only, only faces not covered by a whole-face contact are
-    emitted, so the quad count equals the surface face count.
+    Given the complex's validation report, only the exposed faces (those
+    covered by no whole-face contact) are emitted, so the quad count equals
+    the surface face count; without one, every face of every brick is.
     """
-    covered: set = set()
-    if exposed_only:
-        if report is None:
-            raise ComplexError("exposed-only export needs a validation report")
-        report.check_matches(complex)
-        covered = covered_faces(report)
-
-    quads: list[tuple[Point3, ...]] = []
-    for b in complex.bricks:
-        for f in range(6):
-            if (b.id, f) in covered:
-                continue
-            quads.append(b.face_polygon(f))
+    bricks = {b.id: b for b in complex.bricks}
+    if report is None:
+        faces = [(label, f) for label in bricks for f in range(6)]
+    else:
+        faces = exposed_faces(complex, report)
+    quads = [bricks[label].face_polygon(f) for label, f in faces]
 
     used = sorted({p for quad in quads for p in quad})
     index = {p: i + 1 for i, p in enumerate(used)}

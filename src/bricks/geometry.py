@@ -5,10 +5,16 @@ Every predicate in this module is computed over exact rationals (Python ints
 and ``fractions.Fraction``); no floating point is used anywhere. Whole-face /
 whole-edge equality is an exact question, and midpoint splits introduce
 denominators of 2, so exactness is not optional.
+
+Two boxes are classified from their intersected axis intervals. Any other
+pair is disjoint if its bounding boxes are apart; else each brick's edges
+are clipped to the other's slabs, giving exactly the vertices of a ∩ b (none
+iff disjoint), and the contact kind follows from their affine dimension.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,10 +34,15 @@ def _norm(q: Fraction) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
-def scalar(value) -> Scalar:
-    """Coerce an int, Fraction, or "n/d" string to an exact scalar.
+_SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-    Floats are rejected: the library is exact end to end.
+
+def scalar(value) -> Scalar:
+    """Coerce an int, Fraction, or "n" / "n/d" string to an exact scalar.
+
+    Floats are rejected: the library is exact end to end. Strings are ASCII
+    digits with an optional leading "-" (no decimals, exponents, "+" or "_"),
+    and Python's int digit limit bounds their length.
     """
     if isinstance(value, bool):
         raise GeometryError(f"not an exact scalar: {value!r}")
@@ -41,6 +52,8 @@ def scalar(value) -> Scalar:
         return _norm(value)
     if isinstance(value, str):
         try:
+            if not _SCALAR_TEXT.fullmatch(value):
+                raise ValueError("expected an integer or n/d")
             return _norm(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise GeometryError(f"cannot parse scalar {value!r}: {exc}") from exc
@@ -369,61 +382,44 @@ def _box_intersection_vertices(a: Brick, b: Brick):
     return dim, sorted(set(corners))
 
 
-def _separated(a: Brick, b: Brick) -> bool:
-    """True if a strictly separating axis exists (bricks are disjoint)."""
-    for i in range(3):
-        (alo, ahi), (blo, bhi) = a.aabb[i], b.aabb[i]
-        if ahi < blo or bhi < alo:
-            return True
-    axes = [n for n, _, _ in a.halfspaces] + [n for n, _, _ in b.halfspaces]
-    for ga in a.generators:
-        for gb in b.generators:
-            n = ga.cross(gb)
-            if not n.is_zero():
-                axes.append(n)
-    va, vb = a.vertices, b.vertices
-    for n in axes:
-        da = [n.dot(p) for p in va]
-        db = [n.dot(p) for p in vb]
-        if max(da) < min(db) or max(db) < min(da):
-            return True
-    return False
+def _clip(x: Brick, y: Brick):
+    """Yield the ends of the part of each edge of x inside y: the edge
+    p + t*g, t in [0, 1], clipped to y's slabs lo <= n.p <= hi (Liang-Barsky),
+    with a Fraction built only for a slab plane crossed at 0 < t < 1."""
+    slabs = y.halfspaces
+    vs, gens = x.vertices, x.generators
+    side = [[n.dot(p) for n, _, _ in slabs] for p in vs]
+    rate = [[n.dot(g) for n, _, _ in slabs] for g in gens]
+    for e, (i, j) in enumerate(EDGE_CODES):
+        k = e // 4  # edges are grouped by generator: vs[j] == vs[i] + gens[k]
+        t0, t1 = 0, 1
+        for (_, lo, hi), s, d in zip(slabs, side[i], rate[k]):
+            # inside for enter/d <= t <= leave/d; if d == 0 (edge parallel
+            # to the slab) the test below is lo <= s <= hi and t is unclipped
+            enter, leave = (lo - s, hi - s) if d >= 0 else (s - hi, s - lo)
+            d = abs(d)
+            if leave < 0 or enter > d:
+                break
+            if enter > 0:
+                t0 = max(t0, Fraction(enter, d) if enter < d else 1)
+            if leave < d:
+                t1 = min(t1, Fraction(leave, d) if leave > 0 else 0)
+        else:
+            for t in (t0, t1) if t0 <= t1 else ():
+                if t == 0 or t == 1:
+                    yield vs[j] if t else vs[i]
+                else:
+                    yield vs[i] + gens[k].scale(t)
 
 
 def _intersection_vertices(a: Brick, b: Brick) -> list[Point3]:
-    """Vertices of the convex polytope a ∩ b, exactly.
+    """Vertices of the convex polytope a ∩ b, exactly; empty iff disjoint.
 
-    Every vertex of the intersection lies on an edge of one brick (or is a
-    vertex of one), so candidates are: vertices of each brick inside the
-    other, plus each brick's edges crossed with the other's facet planes,
-    all filtered by the 12 defining inequalities.
+    Each vertex lies on an edge of one brick (two of its three facet planes
+    are that brick's) and ends the edge's part inside the other brick; each
+    such end is a brick vertex or on an edge and a transversal plane.
     """
-    found = set()
-    for p in a.vertices:
-        if b.contains(p):
-            found.add(p)
-    for p in b.vertices:
-        if a.contains(p):
-            found.add(p)
-
-    def edge_plane_hits(edges, other: Brick, container: Brick):
-        for p, q in edges:
-            d = q - p
-            for n, lo, hi in other.halfspaces:
-                nd = n.dot(d)
-                if nd == 0:
-                    continue
-                npv = n.dot(p)
-                for rhs in (lo, hi):
-                    t = Fraction(rhs - npv, nd)
-                    if 0 < t < 1:
-                        pt = p + d.scale(t)
-                        if other.contains(pt) and container.contains(pt):
-                            found.add(pt)
-
-    edge_plane_hits(a.edge_segments, b, a)
-    edge_plane_hits(b.edge_segments, a, b)
-    return sorted(found)
+    return sorted({p for x, y in ((a, b), (b, a)) for p in _clip(x, y)})
 
 
 def _affine_dim(points) -> int:
@@ -482,7 +478,8 @@ def classify_contact(a: Brick, b: Brick) -> Contact:
     if a.box is not None and b.box is not None:
         dim, verts = _box_intersection_vertices(a, b)
         return _classify_from_vertices(a, b, dim, verts)
-    if _separated(a, b):
-        return DISJOINT
+    for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb):
+        if ahi < blo or bhi < alo:
+            return DISJOINT
     verts = _intersection_vertices(a, b)
     return _classify_from_vertices(a, b, _affine_dim(verts), verts)

@@ -148,7 +148,7 @@ def apply_schedule(complex: BrickComplex, schedule: RefinementSchedule) -> Brick
     out = []
     for b in complex.bricks:
         out.extend(expand(b, schedule.get(b.id, Keep())))
-    refined = BrickComplex(tuple(out), name=complex.name, note=complex.note)
+    refined = BrickComplex(tuple(out), name=complex.name)
     before = sum(b.det for b in complex.bricks)
     after = sum(b.det for b in refined.bricks)
     if before != after:

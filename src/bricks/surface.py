@@ -177,13 +177,7 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
             union_vertex_by_point(bi, bj, c.points[0])
         # improper contacts identify nothing: the count stays abstract
 
-    covered = covered_faces(report)
-    exposed = [
-        (bi, f)
-        for bi, b in enumerate(bricks)
-        for f in range(6)
-        if (b.id, f) not in covered
-    ]
+    exposed = [(index[label], f) for label, f in exposed_faces(complex, report)]
 
     vertex_roots = set()
     edge_faces: dict[tuple, list[tuple[int, int]]] = {}

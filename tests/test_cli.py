@@ -259,3 +259,36 @@ def test_non_utf8_input_exits_two(capsys, tmp_path, argv):
     assert code == 2
     assert f"error: {bad}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("token", ["0.5", "1e3", "1_000", "+3"])
+def test_scalar_outside_the_grammar_exits_two_with_line_and_column(
+    capsys, tmp_path, token
+):
+    path = tmp_path / "bad.bricks"
+    path.write_text(
+        "brick a 0 0 0 1 0 0 0 1 0 0 0 1\n"
+        f"brick b 1 0 {token} 1 0 0 0 1 0 0 0 1\n"
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 2, column 13:" in err and repr(token) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "zz-embedded", "--cube-side", "1e3"],
+        ["genus", "{cube}", "--oracle", "--resolution", "1e3"],
+    ],
+    ids=lambda argv: argv[-2],
+)
+def test_scalar_option_outside_the_grammar_exits_two(capsys, tmp_path, argv):
+    cube = tmp_path / "cube.bricks"
+    cube.write_text("brick a 0 0 0 1 0 0 0 1 0 0 0 1\n")
+    code, out, err = run(capsys, *(a.format(cube=cube) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert "error: " in err and "'1e3'" in err

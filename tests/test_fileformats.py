@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bricks.complexes import brick_complex, validate
+from bricks.complexes import ComplexError, brick_complex, validate
 from bricks.constructions import fixture, table_zz, zz_embedded, zz_immersed
 from bricks.fileformats import (
     ParseError,
@@ -18,7 +18,7 @@ from bricks.fileformats import (
     parse_schedule,
     _decimal,
 )
-from bricks.geometry import brick_from_box
+from bricks.geometry import GeometryError, brick_from_box
 from bricks.refinement import Keep, Octasect, QuarterLengthwise, SplitAt
 from bricks.surface import surface_stats
 
@@ -150,7 +150,7 @@ class TestObjExport:
     def test_exposed_only_matches_surface_face_count(self):
         c = zz_embedded()
         r = validate(c)
-        mesh = export_obj(c, r, exposed_only=True)
+        mesh = export_obj(c, r)
         quads = sum(1 for l in mesh.splitlines() if l.startswith("f "))
         assert quads == surface_stats(c, r).face_count
 
@@ -184,3 +184,41 @@ class TestDecimal:
     def test_decimal_value_faithful(self, q):
         text = _decimal(q)
         assert abs(Fraction(text) - q) <= abs(q) * Fraction(1, 10**12)
+
+
+# --- hostile input -----------------------------------------------------------
+
+GOOD_SCALARS = st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4"])
+SCALAR_TOKENS = GOOD_SCALARS | st.sampled_from(
+    ["1/0", "0.5", "1e3", "1_000", "+3", "x"]
+)
+TOKENS = (
+    st.sampled_from(
+        ["name", "brick", "a", "b", "keep", "octasect", "quarter", "split",
+         "0,1/2", "1/3,2/3", "#", "\t"]
+    )
+    | SCALAR_TOKENS
+    | st.text(max_size=4)
+)
+BRICK_LINES = st.builds(
+    lambda label, nums: " ".join(["brick", label, *nums]),
+    st.sampled_from(["a", "b", "c"]),
+    st.lists(GOOD_SCALARS, min_size=12, max_size=12)
+    | st.lists(SCALAR_TOKENS, min_size=12, max_size=12),
+)
+LINES = st.lists(
+    BRICK_LINES | st.lists(TOKENS, max_size=6).map(" ".join), max_size=5
+).map("\n".join)
+
+
+@pytest.mark.parametrize(
+    "parse", [parse_complex, parse_schedule, parse_piece_table],
+    ids=lambda f: f.__name__,
+)
+@settings(max_examples=120, deadline=None)
+@given(text=st.text() | LINES)
+def test_parsers_raise_only_typed_errors(parse, text):
+    try:
+        parse(text)
+    except (ParseError, ComplexError, GeometryError):
+        pass

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bricks.geometry import (
@@ -48,6 +48,17 @@ class TestScalar:
             scalar("a/b")
         with pytest.raises(GeometryError):
             scalar("1/0")
+
+    @pytest.mark.parametrize(
+        "text", ["0.5", "1e3", "1_000", "+3", " 3", "3/", "/3", "1/-2", "\u0663"]
+    )
+    def test_accepts_only_integers_and_n_over_d(self, text):
+        with pytest.raises(GeometryError):
+            scalar(text)
+
+    def test_digit_limit_is_a_geometry_error(self):
+        with pytest.raises(GeometryError):
+            scalar("1" * 5000)
 
     def test_format(self):
         assert format_scalar(Fraction(1, 2)) == "1/2"
@@ -104,6 +115,31 @@ class TestBrick:
 
 coords = st.integers(min_value=0, max_value=6)
 
+# Skew pairs the edge clip must get right, as (a, b) for @example. LATTICE
+# is a det 1 shear of the unit cube; its translates by lattice vectors tile
+# space, so their edges meet each other's slab planes only at t = 0 or 1.
+LATTICE = (vec3(1, 0, 0), vec3(1, 1, 0), vec3(1, 1, 1))
+SKEW = (vec3(2, 1, 0), vec3(0, 2, 1), vec3(1, 0, 2))
+SKEW_EXAMPLES = {
+    # the AABBs overlap in a box of positive volume, the bricks are disjoint
+    "aabb-overlap-disjoint": (
+        Brick("a", vec3(1, 1, 0), *LATTICE), Brick("b", vec3(2, 0, 0), *LATTICE)
+    ),
+    "lattice-shared-face": (
+        Brick("a", vec3(0, 0, 0), *LATTICE), Brick("b", vec3(1, 0, 0), *LATTICE)
+    ),
+    # edges cross slab planes at t = 1/3 and 2/3
+    "fractional-crossings": (
+        Brick("a", vec3(0, 0, 0), *SKEW), Brick("b", vec3(1, 1, 1), *SKEW)
+    ),
+}
+
+
+def skew_examples(test):
+    for a, b in SKEW_EXAMPLES.values():
+        test = example(a, b)(test)
+    return test
+
 
 @st.composite
 def grid_boxes(draw, label="b"):
@@ -154,6 +190,24 @@ class TestClassifyExamples:
     def test_disjoint(self):
         assert classify_contact(UNIT, box((3, 3, 3), (4, 4, 4))).kind is ContactKind.DISJOINT
 
+    def test_skew_examples(self):
+        kinds = {
+            name: classify_contact(a, b).kind
+            for name, (a, b) in SKEW_EXAMPLES.items()
+        }
+        assert kinds == {
+            "aabb-overlap-disjoint": ContactKind.DISJOINT,
+            "lattice-shared-face": ContactKind.WHOLE_FACE,
+            "fractional-crossings": ContactKind.VOLUME_OVERLAP,
+        }
+        a, b = SKEW_EXAMPLES["aabb-overlap-disjoint"]
+        assert all(
+            max(alo, blo) < min(ahi, bhi)
+            for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb)
+        )
+        a, b = SKEW_EXAMPLES["fractional-crossings"]
+        assert vec3(1, "7/3", "5/3") in _intersection_vertices(a, b)
+
     def test_skew_whole_face(self):
         # two copies of the same skew brick stacked along w share a whole face
         a = Brick("a", vec3(0, 0, 0), vec3(2, 1, 0), vec3(0, 2, 1), vec3(1, 0, 2))
@@ -202,6 +256,7 @@ class TestClassifyProperties:
 
     @settings(max_examples=25, deadline=None)
     @given(small_bricks("a"), small_bricks("b"))
+    @skew_examples
     def test_symmetry_skew(self, a, b):
         assert classify_contact(a, b) == classify_contact(b, a).mirrored()
 
@@ -260,6 +315,7 @@ def triple_enumeration_vertices(a: Brick, b: Brick):
 
 @settings(max_examples=25, deadline=None)
 @given(small_bricks("a"), small_bricks("b"))
+@skew_examples
 def test_intersection_vertices_match_triple_oracle(a, b):
     ours = _intersection_vertices(a, b)
     oracle = triple_enumeration_vertices(a, b)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bricks.complexes import brick_complex, validate
+from bricks.complexes import brick_complex, brick_graph, validate
 from bricks.constructions import (
     fixture,
     random_rectilinear,
@@ -16,7 +16,7 @@ from bricks.constructions import (
     zz_embedded,
     zz_immersed,
 )
-from bricks.geometry import brick_from_box
+from bricks.geometry import Brick, Vec3, brick_from_box
 from bricks.refinement import apply_schedule, standard_zz_schedule
 from bricks.surface import (
     PieceRow,
@@ -266,6 +266,44 @@ class TestOracleEquivalence:
     def test_chi_matches_voxel_on_fixtures(self, name):
         c = fixture(name)
         assert stats_of(c).chi == voxel_chi(c)
+
+    # det +1 integer shears that move at least one axis off-axis, so every
+    # unit cube becomes a skew brick and each pair takes the skew path
+    SHEARS = {
+        "x+=y": ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+        "triangular": ((1, 1, 1), (0, 1, 1), (0, 0, 1)),
+        "mixed": ((1, 0, 0), (-1, 1, 0), (2, -1, 1)),
+    }
+
+    @pytest.mark.parametrize("shear", sorted(SHEARS))
+    def test_shear_preserves_contacts_graph_and_counts(self, shear):
+        m = self.SHEARS[shear]
+
+        def apply(p):
+            return Vec3(*(sum(r[c] * p[c] for c in range(3)) for r in m))
+
+        for seed in range(1, 21):
+            c = random_rectilinear(seed)
+            sheared = brick_complex(
+                Brick(b.id, apply(b.origin), apply(b.u), apply(b.v), apply(b.w))
+                for b in c
+            )
+            assert all(b.box is None for b in sheared)
+            report, skew_report = validate(c), validate(sheared)
+            assert len(report.contacts) == len(skew_report.contacts)
+            for pc, spc in zip(report.contacts, skew_report.contacts):
+                assert (pc.a, pc.b) == (spc.a, spc.b)
+                assert pc.contact.kind is spc.contact.kind
+                assert (pc.contact.face_a, pc.contact.face_b) == (
+                    spc.contact.face_a, spc.contact.face_b)
+                assert {apply(p) for p in pc.contact.points} == set(
+                    spc.contact.points)
+            assert brick_graph(c, report).arcs == brick_graph(
+                sheared, skew_report).arcs
+            stats, skew_stats = stats_of(c), stats_of(sheared)
+            assert skew_stats.as_tuple() == stats.as_tuple()
+            assert skew_stats.genus == stats.genus
+            assert skew_stats.chi == voxel_chi(c)
 
 
 class TestRefinementInvariance:
