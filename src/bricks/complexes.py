@@ -1,9 +1,10 @@
 """Brick complexes, proper-joining validation, and the brick graph.
 
 A complex is a finite labeled list of bricks. Validation classifies every
-pair exactly; the brick graph has a node per brick and an arc per pair
-sharing a single whole face of each. A corner is a node of degree three or
-less.
+pair exactly; a pair whose closed axis-aligned bounding boxes (AABBs) are
+disjoint cannot meet, and is skipped unclassified. The brick graph has a
+node per brick and an arc per pair sharing a single whole face of each. A
+corner is a node of degree three or less.
 """
 
 from __future__ import annotations
@@ -97,23 +98,46 @@ class ValidationReport:
             )
 
 
+def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
+    """Yield (i, j), i < j, for every pair whose closed AABBs meet.
+
+    Sort-and-sweep (Baraff 1992): visit bricks by x-low, drop active bricks
+    whose x-high is below it, and test the y and z intervals of the rest.
+    """
+    boxes = [b.aabb for b in bricks]
+    active: list[int] = []
+    for j in sorted(range(len(bricks)), key=lambda k: boxes[k][0][0]):
+        (xlo, _), (ylo, yhi), (zlo, zhi) = boxes[j]
+        active = [i for i in active if boxes[i][0][1] >= xlo]
+        for i in active:
+            _, (ilo, ihi), (klo, khi) = boxes[i]
+            if ilo <= yhi and ylo <= ihi and klo <= zhi and zlo <= khi:
+                yield (i, j) if i < j else (j, i)
+        active.append(j)
+
+
 def validate(complex: BrickComplex) -> ValidationReport:
-    """Classify all n(n-1)/2 brick pairs; memoized per complex instance."""
+    """Classify every brick pair whose bounding boxes meet; memoized per
+    complex instance.
+
+    Pairs whose closed AABBs are disjoint are skipped unclassified: a ∩ b
+    lies inside the intersection of the two AABBs, so each such pair is
+    DISJOINT, and the report equals a classification of all n(n-1)/2 pairs.
+    """
     cached = getattr(complex, "_report", None)
     if cached is not None:
         return cached
     records = []
     bricks = complex.bricks
-    for i in range(len(bricks)):
-        for j in range(i + 1, len(bricks)):
-            contact = classify_contact(bricks[i], bricks[j])
-            if contact.kind is ContactKind.DISJOINT:
-                continue
-            a, b = bricks[i].id, bricks[j].id
-            if a > b:
-                a, b = b, a
-                contact = contact.mirrored()
-            records.append(PairContact(a, b, contact))
+    for i, j in _aabb_meeting_pairs(bricks):
+        contact = classify_contact(bricks[i], bricks[j])
+        if contact.kind is ContactKind.DISJOINT:
+            continue
+        a, b = bricks[i].id, bricks[j].id
+        if a > b:
+            a, b = b, a
+            contact = contact.mirrored()
+        records.append(PairContact(a, b, contact))
     records.sort(key=lambda pc: (pc.a, pc.b))
     report = ValidationReport(labels=complex.labels, contacts=tuple(records))
     object.__setattr__(complex, "_report", report)

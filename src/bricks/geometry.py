@@ -37,6 +37,14 @@ def _norm(q: Fraction) -> Scalar:
 _SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _quoted(token: str) -> str:
+    """repr of a token; a long one by its head and length, so that an error
+    line stays short."""
+    if len(token) <= 40:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
+
+
 def scalar(value) -> Scalar:
     """Coerce an int, Fraction, or "n" / "n/d" string to an exact scalar.
 
@@ -51,12 +59,15 @@ def scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return _norm(value)
     if isinstance(value, str):
-        try:
-            if not _SCALAR_TEXT.fullmatch(value):
-                raise ValueError("expected an integer or n/d")
-            return _norm(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GeometryError(f"cannot parse scalar {value!r}: {exc}") from exc
+        reason = "expected an integer or n/d"
+        if _SCALAR_TEXT.fullmatch(value):
+            try:
+                return _norm(Fraction(value))
+            except ZeroDivisionError as exc:
+                reason = str(exc)
+            except ValueError:  # the only one left: int()'s digit limit
+                reason = "more digits than int allows"
+        raise GeometryError(f"cannot parse scalar {_quoted(value)}: {reason}")
     raise GeometryError(f"not an exact scalar: {value!r}")
 
 

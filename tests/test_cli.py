@@ -277,6 +277,20 @@ def test_scalar_outside_the_grammar_exits_two_with_line_and_column(
     assert "Traceback" not in err
 
 
+def test_huge_scalar_gives_one_short_error_line(capsys, tmp_path):
+    path = tmp_path / "bad.bricks"
+    path.write_text(
+        "brick a 0 0 0 1 0 0 0 1 0 0 0 1\n"
+        f"brick b 1 0 {'1' * 4400} 1 0 0 0 1 0 0 0 1\n"
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {path}: line 2, column 13: ")
+    assert len(line) - len(str(path)) < 200
+
+
 @pytest.mark.parametrize(
     "argv",
     [

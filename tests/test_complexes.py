@@ -1,14 +1,17 @@
 """Complex validation, the brick graph, degrees, and corners."""
 
 import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bricks.complexes import (
     BrickComplex,
     ComplexError,
+    PairContact,
     StaleReportError,
     ValidationReport,
     brick_complex,
@@ -18,8 +21,21 @@ from bricks.complexes import (
     degree_histogram,
     validate,
 )
-from bricks.constructions import fixture, zz_immersed
-from bricks.geometry import ContactKind, brick_from_box
+from bricks.constructions import (
+    fixture,
+    fixture_names,
+    random_rectilinear,
+    zz_embedded,
+    zz_immersed,
+)
+from bricks.geometry import (
+    Brick,
+    ContactKind,
+    brick_from_box,
+    classify_contact,
+    det3,
+    vec3,
+)
 from bricks.refinement import apply_schedule, standard_zz_schedule
 
 
@@ -136,3 +152,120 @@ def test_validation_permutation_invariant(seed):
     assert {(pc.a, pc.b, pc.contact.kind) for pc in r1.contacts} == {
         (pc.a, pc.b, pc.contact.kind) for pc in r2.contacts
     }
+
+
+def brute_force_report(complex):
+    """Test-only oracle for validate's broad phase: classify all n(n-1)/2
+    pairs, mirrored and sorted as validate does."""
+    records = []
+    bricks = complex.bricks
+    for i, j in combinations(range(len(bricks)), 2):
+        contact = classify_contact(bricks[i], bricks[j])
+        if contact.kind is ContactKind.DISJOINT:
+            continue
+        a, b = bricks[i].id, bricks[j].id
+        if a > b:
+            a, b = b, a
+            contact = contact.mirrored()
+        records.append(PairContact(a, b, contact))
+    records.sort(key=lambda pc: (pc.a, pc.b))
+    return ValidationReport(labels=complex.labels, contacts=tuple(records))
+
+
+def refined(build, times):
+    c = build()
+    for _ in range(times):
+        c = apply_schedule(c, standard_zz_schedule(c))
+    return c
+
+
+def sheared(c, m=((1, 1, 1), (0, 1, 1), (0, 0, 1))):
+    def apply(p):
+        return vec3(*(sum(r[k] * p[k] for k in range(3)) for r in m))
+
+    return brick_complex(
+        Brick(b.id, apply(b.origin), apply(b.u), apply(b.v), apply(b.w))
+        for b in c
+    )
+
+
+class TestBroadPhaseMatchesBruteForce:
+    @pytest.mark.parametrize("name", fixture_names())
+    def test_fixtures(self, name):
+        c = fixture(name)
+        assert validate(c) == brute_force_report(c)
+
+    def test_random_polycubes(self):
+        for seed in range(1, 51):
+            c = random_rectilinear(seed)
+            assert validate(c) == brute_force_report(c)
+
+    @pytest.mark.parametrize("times", [0, 1, 2])
+    def test_refined_zz_embedded(self, times):
+        c = refined(zz_embedded, times)
+        assert validate(c) == brute_force_report(c)
+
+    def test_zz_immersed(self):
+        c = zz_immersed()
+        assert validate(c) == brute_force_report(c)
+
+    def test_sheared_polycubes(self):
+        for seed in range(1, 21):
+            c = sheared(random_rectilinear(seed))
+            assert all(b.box is None for b in c)
+            assert validate(c) == brute_force_report(c)
+
+
+halves = st.integers(0, 8).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def sweep_complexes(draw):
+    """Bricks that stress the sweep: boxes on the half-integer grid (ties in
+    x-low; AABBs that meet in a plane, an edge or a point), bars spanning the
+    whole x range past many others, and skew bricks, whose AABBs can overlap
+    while the bricks are disjoint."""
+    bricks = []
+    for i in range(draw(st.integers(2, 10))):
+        kind = draw(st.sampled_from(["box", "box", "bar", "skew"]))
+        if kind == "skew":
+            gens = [vec3(*(draw(st.integers(-2, 2)) for _ in range(3)))
+                    for _ in range(3)]
+            assume(det3(*gens) != 0)
+            origin = vec3(*(draw(halves) for _ in range(3)))
+            bricks.append(Brick(f"k{i}", origin, *gens))
+            continue
+        lo = [draw(halves) for _ in range(3)]
+        hi = [x + Fraction(draw(st.integers(1, 4)), 2) for x in lo]
+        if kind == "bar":
+            lo[0], hi[0] = 0, 8
+        bricks.append(brick_from_box(lo, hi, f"{kind}{i}"))
+    return brick_complex(bricks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sweep_complexes())
+# x-high of one brick equals x-low of the other, and they meet in a face, an
+# edge or a point; then two lattice bricks whose AABBs overlap in volume
+@example(cubes_at((0, 0, 0), (1, 0, 0)))
+@example(cubes_at((0, 0, 0), (1, 1, 0)))
+@example(cubes_at((0, 0, 0), (1, 1, 1)))
+@example(brick_complex([
+    Brick("a", vec3(1, 1, 0), vec3(1, 0, 0), vec3(1, 1, 0), vec3(1, 1, 1)),
+    Brick("b", vec3(2, 0, 0), vec3(1, 0, 0), vec3(1, 1, 0), vec3(1, 1, 1)),
+]))
+def test_broad_phase_matches_brute_force_on_sweep_stressing_bricks(c):
+    assert validate(c) == brute_force_report(c)
+
+
+def test_broad_phase_classifies_only_contacts_on_a_unit_cube_block(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.id, b.id))
+        return classify_contact(a, b)
+
+    monkeypatch.setattr("bricks.complexes.classify_contact", counting)
+    report = validate(cubes_at(*product(range(10), repeat=3)))
+    # 2,700 whole faces, 4,860 whole edges and 2,916 points
+    assert len(calls) == len(report.contacts) == 10_476

@@ -7,6 +7,7 @@ over all triples of defining planes for skew pairs.
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil, floor
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -59,6 +60,16 @@ class TestScalar:
     def test_digit_limit_is_a_geometry_error(self):
         with pytest.raises(GeometryError):
             scalar("1" * 5000)
+
+    @pytest.mark.parametrize(
+        "token", ["1" * 4400, "1" * 4000 + "x", "1/" + "0" * 500],
+        ids=["digit-limit", "bad-tail", "zero-denominator"])
+    def test_long_token_is_quoted_by_head_and_length(self, token):
+        with pytest.raises(GeometryError) as info:
+            scalar(token)
+        message = str(info.value)
+        assert len(message) < 200
+        assert f"'{token[:20]}'... ({len(token)} characters)" in message
 
     def test_format(self):
         assert format_scalar(Fraction(1, 2)) == "1/2"
@@ -219,12 +230,21 @@ class TestClassifyExamples:
 
 def rasterized_dim(a: Brick, b: Brick) -> int:
     """Spec oracle: sample the closed intersection on the half-integer grid
-    and read the dimension off the per-axis extent pattern."""
-    pts = []
-    for i, j, k in product(range(17), repeat=3):
-        p = vec3(Fraction(i, 2), Fraction(j, 2), Fraction(k, 2))
-        if a.contains(p) and b.contains(p):
-            pts.append(p)
+    of [0, 8]^3 and read the dimension off the per-axis extent pattern.
+
+    The grid is sampled in doubled integer coordinates, and only at grid
+    points inside both AABBs: no point outside them lies in both bricks.
+    """
+    a2, b2 = (Brick(x.id, x.origin.scale(2), *(g.scale(2) for g in x.generators))
+              for x in (a, b))
+    axes = [
+        range(max(ceil(alo), ceil(blo), 0), min(floor(ahi), floor(bhi), 16) + 1)
+        for (alo, ahi), (blo, bhi) in zip(a2.aabb, b2.aabb)
+    ]
+    pts = [
+        p for p in (vec3(*q) for q in product(*axes))
+        if a2.contains(p) and b2.contains(p)
+    ]
     if not pts:
         return -1
     return sum(

@@ -1,6 +1,7 @@
 """Boundary complex counting: V, E, F, chi, manifold flags, genus, the
 voxel oracle, and the per-piece tables."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from bricks.constructions import (
     zz_embedded,
     zz_immersed,
 )
-from bricks.geometry import Brick, Vec3, brick_from_box
+from bricks.geometry import Brick, Vec3, brick_from_box, det3, vec3
 from bricks.refinement import apply_schedule, standard_zz_schedule
 from bricks.surface import (
     PieceRow,
@@ -33,6 +34,13 @@ from bricks.surface import (
 
 def stats_of(c):
     return surface_stats(c, validate(c))
+
+
+@functools.cache
+def polycube_and_oracles(seed):
+    """random_rectilinear(seed) with its report, stats and voxel chi."""
+    c = random_rectilinear(seed)
+    return c, validate(c), stats_of(c), voxel_chi(c)
 
 
 class TestExposedFaces:
@@ -267,43 +275,61 @@ class TestOracleEquivalence:
         c = fixture(name)
         assert stats_of(c).chi == voxel_chi(c)
 
-    # det +1 integer shears that move at least one axis off-axis, so every
-    # unit cube becomes a skew brick and each pair takes the skew path
+    # integer shears of det +1 and -1 that move at least one axis off-axis,
+    # so every unit cube becomes a skew brick and each pair takes the skew
+    # path
     SHEARS = {
         "x+=y": ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
         "triangular": ((1, 1, 1), (0, 1, 1), (0, 0, 1)),
         "mixed": ((1, 0, 0), (-1, 1, 0), (2, -1, 1)),
+        "det-1": ((0, 1, 1), (1, 0, 0), (0, 0, 1)),
     }
+    # Brick swaps v and w when det < 0, which swaps faces 2, 3 with 4, 5
+    FACE_SWAP = (0, 1, 4, 5, 2, 3)
 
     @pytest.mark.parametrize("shear", sorted(SHEARS))
     def test_shear_preserves_contacts_graph_and_counts(self, shear):
-        m = self.SHEARS[shear]
+        self.check_transform(self.SHEARS[shear], skew=True)
+
+    @pytest.mark.parametrize("k", [2, Fraction(1, 3)], ids=str)
+    def test_scaling_preserves_contacts_graph_and_counts(self, k):
+        m = tuple(tuple(k if r == c else 0 for c in range(3)) for r in range(3))
+        self.check_transform(m, skew=False)
+
+    def check_transform(self, m, skew):
+        """Seeds 1-50 of random_rectilinear, moved by the matrix m, keep every
+        contact (kind, faces, moved points), arc, V/E/F/chi/genus, and chi
+        equals voxel_chi of the unmoved complex."""
+        flip = det3(*(Vec3(*row) for row in m)) < 0
+
+        def face(f):
+            return self.FACE_SWAP[f] if flip and f is not None else f
 
         def apply(p):
-            return Vec3(*(sum(r[c] * p[c] for c in range(3)) for r in m))
+            return vec3(*(sum(r[c] * p[c] for c in range(3)) for r in m))
 
-        for seed in range(1, 21):
-            c = random_rectilinear(seed)
-            sheared = brick_complex(
+        for seed in range(1, 51):
+            c, report, stats, chi = polycube_and_oracles(seed)
+            moved = brick_complex(
                 Brick(b.id, apply(b.origin), apply(b.u), apply(b.v), apply(b.w))
                 for b in c
             )
-            assert all(b.box is None for b in sheared)
-            report, skew_report = validate(c), validate(sheared)
-            assert len(report.contacts) == len(skew_report.contacts)
-            for pc, spc in zip(report.contacts, skew_report.contacts):
-                assert (pc.a, pc.b) == (spc.a, spc.b)
-                assert pc.contact.kind is spc.contact.kind
-                assert (pc.contact.face_a, pc.contact.face_b) == (
-                    spc.contact.face_a, spc.contact.face_b)
+            assert all((b.box is None) == skew for b in moved)
+            moved_report = validate(moved)
+            assert len(report.contacts) == len(moved_report.contacts)
+            for pc, mpc in zip(report.contacts, moved_report.contacts):
+                assert (pc.a, pc.b) == (mpc.a, mpc.b)
+                assert pc.contact.kind is mpc.contact.kind
+                assert (face(pc.contact.face_a), face(pc.contact.face_b)) == (
+                    mpc.contact.face_a, mpc.contact.face_b)
                 assert {apply(p) for p in pc.contact.points} == set(
-                    spc.contact.points)
+                    mpc.contact.points)
             assert brick_graph(c, report).arcs == brick_graph(
-                sheared, skew_report).arcs
-            stats, skew_stats = stats_of(c), stats_of(sheared)
-            assert skew_stats.as_tuple() == stats.as_tuple()
-            assert skew_stats.genus == stats.genus
-            assert skew_stats.chi == voxel_chi(c)
+                moved, moved_report).arcs
+            moved_stats = stats_of(moved)
+            assert moved_stats.as_tuple() == stats.as_tuple()
+            assert moved_stats.genus == stats.genus
+            assert moved_stats.chi == chi
 
 
 class TestRefinementInvariance:
