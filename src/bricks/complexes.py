@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .geometry import Brick, Contact, ContactKind, classify_contact
+from .geometry import Brick, Contact, ContactKind, _quoted, classify_contact
 
 
 class ComplexError(ValueError):
@@ -32,10 +32,20 @@ class BrickComplex:
     name: str = ""
 
     def __post_init__(self):
+        # The name and the labels are written to brick files as single
+        # tokens, so each must read back as one: no whitespace and no '#'.
+        if self.name and not _one_token(self.name):
+            raise ComplexError(
+                f"complex name {_quoted(self.name)} is not one token without '#'"
+            )
         seen = set()
         for b in self.bricks:
+            if not _one_token(b.id):
+                raise ComplexError(
+                    f"brick label {_quoted(b.id)} is not one token without '#'"
+                )
             if b.id in seen:
-                raise ComplexError(f"duplicate brick label {b.id!r}")
+                raise ComplexError(f"duplicate brick label {_quoted(b.id)}")
             seen.add(b.id)
 
     def __len__(self) -> int:
@@ -53,6 +63,10 @@ class BrickComplex:
             if b.id == label:
                 return b
         raise ComplexError(f"no brick labeled {label!r}")
+
+
+def _one_token(label: str) -> bool:
+    return label.split() == [label] and "#" not in label
 
 
 def brick_complex(bricks: Iterable[Brick], name: str = "") -> BrickComplex:

@@ -17,6 +17,7 @@ from .geometry import (
     GeometryError,
     Scalar,
     Vec3,
+    _quoted,
     format_scalar,
     scalar,
 )
@@ -92,8 +93,8 @@ def parse_complex(text: str) -> BrickComplex:
                 )
             brick_id = toks[1]
             if brick_id in seen:
-                raise ParseError(f"duplicate brick id {brick_id!r}", line,
-                                 _column_of(raw, 1))
+                raise ParseError(f"duplicate brick id {_quoted(brick_id)}",
+                                 line, _column_of(raw, 1))
             seen.add(brick_id)
             nums = [_parse_scalar(t, line, raw, i + 2) for i, t in enumerate(toks[2:])]
             try:
@@ -109,7 +110,7 @@ def parse_complex(text: str) -> BrickComplex:
             except GeometryError as exc:
                 raise ParseError(str(exc), line) from exc
         else:
-            raise ParseError(f"unknown directive {toks[0]!r}", line)
+            raise ParseError(f"unknown directive {_quoted(toks[0])}", line)
     if not bricks:
         raise ParseError("no bricks in file", 1)
     return brick_complex(bricks, name=name)
@@ -139,10 +140,14 @@ def parse_piece_table(text: str) -> PieceTable:
             raise ParseError(
                 f"piece row needs 5 tokens (label mult v e f), got {len(toks)}", line
             )
-        try:
-            numbers = [int(t) for t in toks[1:]]
-        except ValueError as exc:
-            raise ParseError(f"bad integer in piece row: {exc}", line) from exc
+        numbers = []
+        for t in toks[1:]:
+            try:
+                numbers.append(int(t))
+            except ValueError as exc:
+                raise ParseError(
+                    f"bad integer in piece row: {_quoted(t)}", line
+                ) from exc
         try:
             rows.append(PieceRow(toks[0], *numbers))
         except ValueError as exc:
@@ -174,7 +179,7 @@ def parse_schedule(text: str) -> dict[str, RefineOp]:
             raise ParseError("schedule line needs an id and an operator", line)
         label, op = toks[0], toks[1]
         if label in ops:
-            raise ParseError(f"duplicate schedule entry for {label!r}", line)
+            raise ParseError(f"duplicate schedule entry for {_quoted(label)}", line)
         if op == "keep" and len(toks) == 2:
             ops[label] = Keep()
         elif op == "octasect" and len(toks) == 2:
@@ -196,7 +201,9 @@ def parse_schedule(text: str) -> dict[str, RefineOp]:
             )
             ops[label] = SplitAt(int(toks[2]), fractions)
         else:
-            raise ParseError(f"bad schedule operator {' '.join(toks[1:])!r}", line)
+            raise ParseError(
+                f"bad schedule operator {_quoted(' '.join(toks[1:]))}", line
+            )
     return ops
 
 

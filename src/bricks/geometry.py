@@ -7,9 +7,12 @@ whole-edge equality is an exact question, and midpoint splits introduce
 denominators of 2, so exactness is not optional.
 
 Two boxes are classified from their intersected axis intervals. Any other
-pair is disjoint if its bounding boxes are apart; else each brick's edges
-are clipped to the other's slabs, giving exactly the vertices of a ∩ b (none
-iff disjoint), and the contact kind follows from their affine dimension.
+pair is disjoint if its bounding boxes are apart, or if one brick lies
+beyond a slab of the other (its extent along the slab's normal ends below
+the slab or starts above it). Else each brick's edges are clipped to the
+other's slabs, with t-bounds kept as integer-style numerator/denominator
+pairs compared by cross-multiplying, giving exactly the vertices of a ∩ b
+(none iff disjoint); the contact kind follows from their affine dimension.
 """
 
 from __future__ import annotations
@@ -219,7 +222,7 @@ class Brick:
     def __post_init__(self):
         d = det3(self.u, self.v, self.w)
         if d == 0:
-            raise GeometryError(f"brick {self.id!r} has zero volume")
+            raise GeometryError(f"brick {_quoted(self.id)} has zero volume")
         if d < 0:
             v, w = self.v, self.w
             object.__setattr__(self, "v", w)
@@ -393,34 +396,57 @@ def _box_intersection_vertices(a: Brick, b: Brick):
     return dim, sorted(set(corners))
 
 
-def _clip(x: Brick, y: Brick):
-    """Yield the ends of the part of each edge of x inside y: the edge
-    p + t*g, t in [0, 1], clipped to y's slabs lo <= n.p <= hi (Liang-Barsky),
-    with a Fraction built only for a slab plane crossed at 0 < t < 1."""
-    slabs = y.halfspaces
+def _slab_coordinates(x: Brick, y: Brick):
+    """x in y's slab coordinates, from 12 dot products: per slab of y,
+    (lo, hi, n.p at x's 8 vertices in vertex-code order, n.g for x's 3
+    generators). None if x lies beyond a slab, all its values below lo or
+    all above hi: x is then in an open half-space that misses y.
+    """
+    o, gens = x.origin, x.generators
+    out = []
+    for n, lo, hi in y.halfspaces:
+        base = n.dot(o)
+        ru, rv, rw = rates = (n.dot(gens[0]), n.dot(gens[1]), n.dot(gens[2]))
+        side = [base, base + rw]
+        side += [s + rv for s in side]
+        side += [s + ru for s in side]
+        if max(side) < lo or min(side) > hi:
+            return None
+        out.append((lo, hi, side, rates))
+    return out
+
+
+def _clip(x: Brick, slabs):
+    """Yield the ends of the part of each edge of x inside y, given x in y's
+    slab coordinates (the caller has already rejected a pair in which one
+    brick lies beyond a slab of the other): the edge p + t*g, t in [0, 1],
+    clipped to lo <= n.p <= hi (Liang-Barsky). The t-bounds are numerators
+    over positive denominators, compared by cross-multiplying; a Fraction is
+    built only for a point where a slab plane is crossed at 0 < t < 1.
+    """
     vs, gens = x.vertices, x.generators
-    side = [[n.dot(p) for n, _, _ in slabs] for p in vs]
-    rate = [[n.dot(g) for n, _, _ in slabs] for g in gens]
     for e, (i, j) in enumerate(EDGE_CODES):
         k = e // 4  # edges are grouped by generator: vs[j] == vs[i] + gens[k]
-        t0, t1 = 0, 1
-        for (_, lo, hi), s, d in zip(slabs, side[i], rate[k]):
+        n0, d0, n1, d1 = 0, 1, 1, 1  # t in [n0/d0, n1/d1]
+        for lo, hi, side, rates in slabs:
+            s, d = side[i], rates[k]
             # inside for enter/d <= t <= leave/d; if d == 0 (edge parallel
             # to the slab) the test below is lo <= s <= hi and t is unclipped
             enter, leave = (lo - s, hi - s) if d >= 0 else (s - hi, s - lo)
             d = abs(d)
             if leave < 0 or enter > d:
                 break
-            if enter > 0:
-                t0 = max(t0, Fraction(enter, d) if enter < d else 1)
-            if leave < d:
-                t1 = min(t1, Fraction(leave, d) if leave > 0 else 0)
+            if enter * d0 > n0 * d:
+                n0, d0 = enter, d
+            if leave * d1 < n1 * d:
+                n1, d1 = leave, d
         else:
-            for t in (t0, t1) if t0 <= t1 else ():
-                if t == 0 or t == 1:
-                    yield vs[j] if t else vs[i]
-                else:
-                    yield vs[i] + gens[k].scale(t)
+            if n0 * d1 <= n1 * d0:
+                for n, d in ((n0, d0), (n1, d1)):
+                    if n == 0 or n == d:
+                        yield vs[j] if n else vs[i]
+                    else:
+                        yield vs[i] + gens[k].scale(Fraction(n, d))
 
 
 def _intersection_vertices(a: Brick, b: Brick) -> list[Point3]:
@@ -430,7 +456,11 @@ def _intersection_vertices(a: Brick, b: Brick) -> list[Point3]:
     are that brick's) and ends the edge's part inside the other brick; each
     such end is a brick vertex or on an edge and a transversal plane.
     """
-    return sorted({p for x, y in ((a, b), (b, a)) for p in _clip(x, y)})
+    ab = _slab_coordinates(a, b)
+    ba = ab and _slab_coordinates(b, a)
+    if not ba:
+        return []
+    return sorted({*_clip(a, ab), *_clip(b, ba)})
 
 
 def _affine_dim(points) -> int:

@@ -21,6 +21,7 @@ from .geometry import (
     FACE_EDGE_INDICES,
     ContactKind,
     Scalar,
+    _quoted,
 )
 
 
@@ -276,9 +277,11 @@ class PieceRow:
 
     def __post_init__(self):
         if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1 in row {self.label!r}")
+            raise ValueError(
+                f"multiplicity must be >= 1 in row {_quoted(self.label)}"
+            )
         if min(self.vertices, self.edges, self.faces) < 0:
-            raise ValueError(f"negative count in row {self.label!r}")
+            raise ValueError(f"negative count in row {_quoted(self.label)}")
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,49 @@ def test_huge_scalar_gives_one_short_error_line(capsys, tmp_path):
     assert len(line) - len(str(path)) < 200
 
 
+LONG = "x" * 5000
+CUBE_LINE = "brick a 0 0 0 1 0 0 0 1 0 0 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("validate", f"{LONG} 0 0 0\n"),
+        ("validate", f"brick {LONG} 0 0 0 1 0 0 0 1 0 0 0 1\n" * 2),
+        ("validate", f"brick {LONG} 0 0 0 1 0 0 0 1 0 1 1 0\n"),
+        ("schedule", f"a {LONG}\n"),
+        ("schedule", f"{LONG} keep\n" * 2),
+        ("table-chi", f"{LONG} 0 8 12 6\n"),
+        ("table-chi", f"cube 1 8 12 {LONG}\n"),
+    ],
+    ids=[
+        "unknown-directive",
+        "duplicate-brick-id",
+        "zero-volume-brick-id",
+        "bad-schedule-operator",
+        "duplicate-schedule-entry",
+        "piece-row-label",
+        "piece-row-integer",
+    ],
+)
+def test_long_token_gives_one_short_error_line(capsys, tmp_path, command, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    good = tmp_path / "good.bricks"
+    good.write_text(CUBE_LINE)
+    if command == "schedule":
+        argv = ["refine", str(good), "--schedule", str(bad)]
+    else:
+        argv = [command, str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {bad}: line ")
+    assert f"'{LONG[:20]}'... (5000 characters)" in line
+    assert len(line) - len(str(bad)) < 200
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bricks.complexes import ComplexError, brick_complex, validate
@@ -49,6 +49,42 @@ class TestComplexRoundTrip:
         )
         parsed = parse_complex(emit_complex(c))
         assert parsed.bricks == c.bricks
+
+    def test_emit_parse_gives_an_equal_complex(self):
+        c = brick_complex(
+            sorted(zz_embedded().bricks + fixture("random-3").bricks,
+                   key=lambda b: b.id)
+            + [brick_from_box((9, 9, 9), (Fraction(19, 2), 10, 11), "z/f.1")],
+            name="zz+random-3",
+        )
+        assert parse_complex(emit_complex(c)) == c
+
+    @pytest.mark.parametrize(
+        "label",
+        ["two words", "a#b", "#", "a\x1cb", "a\u2028b", "a\n", "\t", ""],
+    )
+    def test_name_and_labels_must_read_back_as_one_token(self, label):
+        with pytest.raises(ComplexError, match="one token"):
+            brick_complex([brick_from_box((0, 0, 0), (1, 1, 1), label)])
+        if label:  # an empty name is written as no name line
+            with pytest.raises(ComplexError, match="one token"):
+                brick_complex(
+                    [brick_from_box((0, 0, 0), (1, 1, 1), "a")], name=label
+                )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(max_size=6), st.text(max_size=6))
+    @example("", "a")
+    @example("n#", "a")
+    @example("n", "a\x1cb")
+    def test_every_accepted_name_and_label_round_trips(self, name, label):
+        try:
+            c = brick_complex(
+                [brick_from_box((0, 0, 0), (1, 1, 1), label)], name=name
+            )
+        except ComplexError:
+            return
+        assert parse_complex(emit_complex(c)) == c
 
 
 class TestComplexParseErrors:

@@ -19,6 +19,7 @@ from bricks.geometry import (
     GeometryError,
     _affine_dim,
     _intersection_vertices,
+    _slab_coordinates,
     brick_from_box,
     classify_contact,
     det3,
@@ -131,6 +132,7 @@ coords = st.integers(min_value=0, max_value=6)
 # space, so their edges meet each other's slab planes only at t = 0 or 1.
 LATTICE = (vec3(1, 0, 0), vec3(1, 1, 0), vec3(1, 1, 1))
 SKEW = (vec3(2, 1, 0), vec3(0, 2, 1), vec3(1, 0, 2))
+SKEW_QUARTER = tuple(g.scale(Fraction(1, 4)) for g in SKEW)
 SKEW_EXAMPLES = {
     # the AABBs overlap in a box of positive volume, the bricks are disjoint
     "aabb-overlap-disjoint": (
@@ -142,6 +144,30 @@ SKEW_EXAMPLES = {
     # edges cross slab planes at t = 1/3 and 2/3
     "fractional-crossings": (
         Brick("a", vec3(0, 0, 0), *SKEW), Brick("b", vec3(1, 1, 1), *SKEW)
+    ),
+    # the same pair with 2^k-denominator coordinates: the clip's t-bounds
+    # have Fraction numerators and denominators
+    "dyadic-coordinates": (
+        Brick("a", vec3("1/2", 0, "-1/4"), *SKEW_QUARTER),
+        Brick("b", vec3("3/4", "1/4", 0), *SKEW_QUARTER),
+    ),
+    # the AABBs overlap; a lies within every slab of b, but b lies beyond a
+    # slab of a, so only the second order rejects
+    "second-order-slab-reject": (
+        Brick("a", vec3(-2, 1, 2), vec3(0, -1, 2), vec3(2, -1, 0), vec3(1, 2, -1)),
+        Brick("b", vec3(1, 0, 1), vec3(-2, 0, 1), vec3(1, 0, -2), vec3(-2, -2, -2)),
+    ),
+    # an edge of a enters b's slabs at t = 4/11, 3/7 and 2/3 in turn: each
+    # later bound has the smaller numerator, so only cross-multiplying keeps it
+    "later-entry-smaller-numerator": (
+        Brick("a", vec3(1, -2, 1), vec3(1, 1, 0), vec3(1, -2, -1), vec3(-1, 2, -2)),
+        Brick("b", vec3(1, -1, -1), vec3(-1, 1, 2), vec3(0, -1, -2), vec3(-2, -2, 1)),
+    ),
+    # edges of a cross planes of b's slabs with negative rate exactly at the
+    # edge's ends: leaving at t = 0 and entering at t = 1
+    "negative-rate-exact-end": (
+        Brick("a", vec3(0, 1, 0), vec3(-2, 1, 0), vec3(2, 1, 1), vec3(2, 2, -1)),
+        Brick("b", vec3(-1, -1, 2), vec3(-2, 2, 2), vec3(2, 2, 0), vec3(1, 2, -2)),
     ),
 }
 
@@ -210,14 +236,24 @@ class TestClassifyExamples:
             "aabb-overlap-disjoint": ContactKind.DISJOINT,
             "lattice-shared-face": ContactKind.WHOLE_FACE,
             "fractional-crossings": ContactKind.VOLUME_OVERLAP,
+            "dyadic-coordinates": ContactKind.VOLUME_OVERLAP,
+            "second-order-slab-reject": ContactKind.DISJOINT,
+            "later-entry-smaller-numerator": ContactKind.VOLUME_OVERLAP,
+            "negative-rate-exact-end": ContactKind.VOLUME_OVERLAP,
         }
-        a, b = SKEW_EXAMPLES["aabb-overlap-disjoint"]
-        assert all(
-            max(alo, blo) < min(ahi, bhi)
-            for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb)
-        )
+        for name in ("aabb-overlap-disjoint", "second-order-slab-reject"):
+            a, b = SKEW_EXAMPLES[name]
+            assert all(
+                max(alo, blo) < min(ahi, bhi)
+                for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb)
+            )
+        a, b = SKEW_EXAMPLES["second-order-slab-reject"]
+        assert _slab_coordinates(a, b) is not None
+        assert _slab_coordinates(b, a) is None
         a, b = SKEW_EXAMPLES["fractional-crossings"]
         assert vec3(1, "7/3", "5/3") in _intersection_vertices(a, b)
+        a, b = SKEW_EXAMPLES["dyadic-coordinates"]
+        assert vec3("3/4", "7/12", "1/6") in _intersection_vertices(a, b)
 
     def test_skew_whole_face(self):
         # two copies of the same skew brick stacked along w share a whole face
