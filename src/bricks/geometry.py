@@ -6,11 +6,15 @@ and ``fractions.Fraction``); no floating point is used anywhere. Whole-face /
 whole-edge equality is an exact question, and midpoint splits introduce
 denominators of 2, so exactness is not optional.
 
-Two boxes are classified from their intersected axis intervals. Any other
-pair is disjoint if its bounding boxes are apart, or if one brick lies
-beyond a slab of the other (its extent along the slab's normal ends below
-the slab or starts above it). Else each brick's edges are clipped to the
-other's slabs, with t-bounds kept as integer-style numerator/denominator
+Two bricks whose generators share three directions are co-framed (two
+axis-aligned boxes are the special case). Along the normal of each pair of
+frame directions each brick is an interval, so a co-framed pair is decided
+from three interval overlaps, the oriented-box reduction of Gottschalk, Lin
+& Manocha (OBBTree, 1996); contact points are picked from the vertices.
+Any other pair is disjoint if its bounding boxes are apart, or if one brick
+lies beyond a slab of the other (its extent along the slab's normal ends
+below the slab or starts above it). Else each brick's edges are clipped to
+the other's slabs, with t-bounds kept as integer-style numerator/denominator
 pairs compared by cross-multiplying, giving exactly the vertices of a ∩ b
 (none iff disjoint); the contact kind follows from their affine dimension.
 """
@@ -23,6 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
@@ -65,7 +70,7 @@ def scalar(value) -> Scalar:
         reason = "expected an integer or n/d"
         if _SCALAR_TEXT.fullmatch(value):
             try:
-                return _norm(Fraction(value))
+                return int(value) if "/" not in value else _norm(Fraction(value))
             except ZeroDivisionError as exc:
                 reason = str(exc)
             except ValueError:  # the only one left: int()'s digit limit
@@ -318,6 +323,27 @@ class Brick:
                 return None
         return self.aabb
 
+    @cached_property
+    def _frame(self):
+        """(key, slots). The key is the frame D: the generator directions as
+        primitive integer vectors, first non-zero entry positive, sorted.
+        Slot k is (lo, hi, j, n.g_j < 0): the range of n.p over the brick
+        for n = D[k+1] x D[k+2], and the generator j parallel to D[k]."""
+        dirs = []
+        for g in self.generators:
+            m = lcm(*(c.denominator for c in g))
+            ints = [c.numerator * (m // c.denominator) for c in g]
+            q = gcd(*ints) * (1 if next(c for c in ints if c) > 0 else -1)
+            dirs.append(Vec3(*(c // q for c in ints)))
+        key = tuple(sorted(dirs))
+        slots = []
+        for k in range(3):
+            n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
+            j = dirs.index(key[k])
+            base, rate = n.dot(self.origin), n.dot(self.generators[j])
+            slots.append((base + min(rate, 0), base + max(rate, 0), j, rate < 0))
+        return key, tuple(slots)
+
 
 def brick_from_box(min_corner, max_corner, id: str) -> Brick:
     """Axis-aligned brick spanning [min, max]; extents must be positive."""
@@ -375,25 +401,6 @@ class Contact:
 
 
 DISJOINT = Contact(ContactKind.DISJOINT)
-
-
-def _box_intersection_vertices(a: Brick, b: Brick):
-    """(dim, vertices) for two rectilinear bricks, or (-1, []) if disjoint."""
-    lo, hi = [], []
-    for (alo, ahi), (blo, bhi) in zip(a.box, b.box):
-        l, h = max(alo, blo), min(ahi, bhi)
-        if l > h:
-            return -1, []
-        lo.append(l)
-        hi.append(h)
-    dim = sum(1 for l, h in zip(lo, hi) if h > l)
-    corners = [
-        Vec3(x, y, z)
-        for x in ({lo[0], hi[0]})
-        for y in ({lo[1], hi[1]})
-        for z in ({lo[2], hi[2]})
-    ]
-    return dim, sorted(set(corners))
 
 
 def _slab_coordinates(x: Brick, y: Brick):
@@ -509,16 +516,47 @@ def _classify_from_vertices(a: Brick, b: Brick, dim: int, verts) -> Contact:
     return Contact(ContactKind.VOLUME_OVERLAP)
 
 
+def _coframed_contact(a: Brick, b: Brick) -> Contact:
+    """Classify a ∩ b for bricks of one frame from their frame intervals: an
+    empty overlap is DISJOINT, and each slot that only touches fixes a's
+    generator in that slot to one end, which gives face indices and the
+    vertex codes of the contact points."""
+    open_j, whole, code, fa, fb = [], True, 0, None, None
+    for (alo, ahi, ja, fla), (blo, bhi, jb, flb) in zip(a._frame[1], b._frame[1]):
+        lo, hi = max(alo, blo), min(ahi, bhi)
+        if lo > hi:
+            return DISJOINT
+        if lo < hi:
+            open_j.append(ja)
+            whole = whole and alo == blo and ahi == bhi
+        else:  # side 1 is the end that generator j reaches
+            sa, sb = (lo == ahi) != fla, (lo == bhi) != flb
+            code |= sa << (2 - ja)
+            fa, fb = 2 * ja + sa, 2 * jb + sb
+    vs, dim = a.vertices, len(open_j)
+    if dim == 3:
+        return Contact(ContactKind.VOLUME_OVERLAP)
+    if dim == 2:
+        if whole:
+            return Contact(ContactKind.WHOLE_FACE, face_a=fa, face_b=fb)
+        return Contact(ContactKind.PARTIAL_FACE)
+    if dim == 1:
+        if whole:
+            p, q = vs[code], vs[code | 4 >> open_j[0]]
+            return Contact(ContactKind.WHOLE_EDGE, points=(min(p, q), max(p, q)))
+        return Contact(ContactKind.PARTIAL_EDGE)
+    return Contact(ContactKind.POINT, points=(vs[code],))
+
+
 def classify_contact(a: Brick, b: Brick) -> Contact:
     """Classify a ∩ b per the proper-joining taxonomy.
 
-    Total on valid bricks; symmetric up to mirrored face indices. Exact:
-    the intersection polytope is enumerated over rationals, then compared
-    against whole faces / whole edges of each operand.
+    Total on valid bricks; symmetric up to mirrored face indices. Exact: a
+    co-framed pair is decided from its frame intervals, any other pair from
+    the vertices of a ∩ b that the edge clip finds.
     """
-    if a.box is not None and b.box is not None:
-        dim, verts = _box_intersection_vertices(a, b)
-        return _classify_from_vertices(a, b, dim, verts)
+    if a._frame[0] == b._frame[0]:
+        return _coframed_contact(a, b)
     for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb):
         if ahi < blo or bhi < alo:
             return DISJOINT

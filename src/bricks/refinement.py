@@ -15,7 +15,7 @@ from itertools import product
 from typing import Mapping, Union
 
 from .complexes import BrickComplex, ValidationReport, validate
-from .geometry import Brick, Scalar, opposite_face
+from .geometry import Brick, Scalar, _quoted, opposite_face
 
 
 class RefinementError(ValueError):
@@ -106,7 +106,7 @@ def long_direction(b: Brick) -> int:
     winners = [i for i, n in enumerate(lengths) if n == top]
     if len(winners) > 1:
         raise RefinementError(
-            f"brick {b.id!r} has no strictly longest generator "
+            f"brick {_quoted(b.id)} has no strictly longest generator "
             f"(squared lengths {lengths}); pass long_dir explicitly"
         )
     return winners[0]
@@ -144,7 +144,8 @@ def apply_schedule(complex: BrickComplex, schedule: RefinementSchedule) -> Brick
     """
     unknown = set(schedule) - set(complex.labels)
     if unknown:
-        raise RefinementError(f"schedule references unknown labels {sorted(unknown)}")
+        listed = ", ".join(map(_quoted, sorted(unknown)))
+        raise RefinementError(f"schedule references unknown labels [{listed}]")
     out = []
     for b in complex.bricks:
         out.extend(expand(b, schedule.get(b.id, Keep())))

@@ -332,13 +332,13 @@ def voxel_chi(complex: BrickComplex, resolution: Scalar = 1) -> int:
     occupied = set()
     for b in complex.bricks:
         if b.box is None:
-            raise VoxelError(f"brick {b.id!r} is not rectilinear")
+            raise VoxelError(f"brick {_quoted(b.id)} is not rectilinear")
         spans = []
         for lo, hi in b.box:
             flo, fhi = Fraction(lo, 1) / resolution, Fraction(hi, 1) / resolution
             if flo.denominator != 1 or fhi.denominator != 1:
                 raise VoxelError(
-                    f"brick {b.id!r} has coordinates not integral at "
+                    f"brick {_quoted(b.id)} has coordinates not integral at "
                     f"resolution {resolution}"
                 )
             spans.append((int(flo), int(fhi)))

@@ -335,6 +335,36 @@ def test_long_token_gives_one_short_error_line(capsys, tmp_path, command, text):
 
 
 @pytest.mark.parametrize(
+    "bricks, schedule, argv",
+    [
+        (CUBE_LINE, f"{LONG} keep\n", ["refine", "--schedule"]),
+        (f"brick {LONG} 0 0 0 1 0 0 0 1 0 0 0 1\n", f"{LONG} quarter\n",
+         ["refine", "--schedule"]),
+        (f"brick {LONG} 0 0 0 1 0 0 1 1 0 0 0 1\n", None, ["genus", "--oracle"]),
+        (f"brick {LONG} 0 0 0 1 0 0 0 1 0 0 0 1\n", None,
+         ["genus", "--oracle", "--resolution", "2"]),
+    ],
+    ids=["unknown-label", "no-longest-generator", "not-rectilinear", "not-integral"],
+)
+def test_long_label_gives_one_short_error_line(capsys, tmp_path, bricks, schedule,
+                                               argv):
+    path = tmp_path / "long.bricks"
+    path.write_text(bricks)
+    extra = []
+    if schedule is not None:
+        extra = [str(tmp_path / "long.schedule")]
+        (tmp_path / "long.schedule").write_text(schedule)
+    command, *options = argv
+    code, out, err = run(capsys, command, str(path), *options, *extra)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    assert f"'{LONG[:20]}'... (5000 characters)" in line
+    assert len(line) - len(str(path)) < 200
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["build", "zz-embedded", "--cube-side", "1e3"],

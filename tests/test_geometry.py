@@ -18,6 +18,7 @@ from bricks.geometry import (
     ContactKind,
     GeometryError,
     _affine_dim,
+    _classify_from_vertices,
     _intersection_vertices,
     _slab_coordinates,
     brick_from_box,
@@ -71,6 +72,13 @@ class TestScalar:
         message = str(info.value)
         assert len(message) < 200
         assert f"'{token[:20]}'... ({len(token)} characters)" in message
+
+    @pytest.mark.parametrize("text, value", [
+        ("7", 7), ("-0", 0), ("007", 7), ("4/2", 2), ("-6/3", -2), ("1/2", Fraction(1, 2))])
+    def test_integral_values_parse_to_int(self, text, value):
+        parsed = scalar(text)
+        assert parsed == value
+        assert type(parsed) is type(value)
 
     def test_format(self):
         assert format_scalar(Fraction(1, 2)) == "1/2"
@@ -178,6 +186,78 @@ def skew_examples(test):
     return test
 
 
+# Frames for co-framed pairs: bricks whose generators share three directions
+FRAMES = {
+    "axis-aligned": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    "unimodular": ((1, 0, 0), (1, 1, 0), (1, 1, 1)),
+    "non-unimodular": ((2, 1, 0), (-1, 0, 1), (0, 0, 1)),
+    "det-1": ((0, 1, 1), (1, 0, 0), (0, 0, 1)),
+}
+
+
+def framed(label, frame, lo, hi, order=(0, 1, 2), negate=()):
+    """The brick lo <= c <= hi in the coordinates c of p = sum c_k D_k over
+    the frame D, its generators listed in `order` and those in `negate`
+    reversed (the origin moves to the generator's far end)."""
+    d = [vec3(*f) for f in frame]
+    origin = d[0].scale(lo[0]) + d[1].scale(lo[1]) + d[2].scale(lo[2])
+    gens = [d[k].scale(scalar(hi[k]) - scalar(lo[k])) for k in range(3)]
+    for k in negate:
+        origin, gens[k] = origin + gens[k], -gens[k]
+    return Brick(label, origin, *(gens[k] for k in order))
+
+
+def framed_pair(frame, b_lo, b_hi, order, negate):
+    """The frame's unit brick, and b with permuted or negated generators."""
+    return (framed("a", FRAMES[frame], (0, 0, 0), (1, 1, 1)),
+            framed("b", FRAMES[frame], b_lo, b_hi, order, negate))
+
+
+HALF = Fraction(1, 2)
+# one co-framed pair per contact kind
+COFRAMED_EXAMPLES = {
+    # the AABBs overlap in a box of positive volume
+    ContactKind.DISJOINT: framed_pair(
+        "non-unimodular", (0, 1, -2), (1, 2, -1), (2, 0, 1), (1,)),
+    ContactKind.POINT: framed_pair("det-1", (1, 1, 1), (2, 2, 2), (1, 2, 0), (0, 2)),
+    ContactKind.WHOLE_EDGE: framed_pair(
+        "unimodular", (1, 1, 0), (2, 2, 1), (2, 1, 0), (2,)),
+    ContactKind.PARTIAL_EDGE: framed_pair(
+        "non-unimodular", (1, 1, 0), (2, 2, 2), (0, 2, 1), (0, 1)),
+    ContactKind.WHOLE_FACE: framed_pair(
+        "axis-aligned", (1, 0, 0), (2, 1, 1), (1, 2, 0), (1,)),
+    ContactKind.PARTIAL_FACE: framed_pair("det-1", (1, 0, 0), (2, HALF, 1), (2, 0, 1), (0,)),
+    ContactKind.VOLUME_OVERLAP: framed_pair(
+        "non-unimodular", (HALF, 0, 0), (3 * HALF, 1, 1), (1, 0, 2), (2,)),
+}
+
+
+def coframed_examples(test):
+    for pair in COFRAMED_EXAMPLES.values():
+        test = example(pair)(test)
+    return test
+
+
+@st.composite
+def coframed_pairs(draw):
+    """Two bricks of one frame: each generator a frame direction scaled by
+    +-1, +-2 or +-1/2, in any order; half-integer origins, and half the time
+    b moved so that one of its vertices is one of a's."""
+    frame = draw(st.sampled_from(sorted(FRAMES.values())))
+
+    def brick(label):
+        gens = [vec3(*f).scale(draw(st.sampled_from((1, 2, HALF, -1, -2, -HALF))))
+                for f in frame]
+        origin = vec3(*(Fraction(draw(st.integers(-4, 4)), 2) for _ in range(3)))
+        return Brick(label, origin, *draw(st.permutations(gens)))
+
+    a, b = brick("a"), brick("b")
+    if draw(st.booleans()):
+        shift = a.vertices[draw(st.integers(0, 7))] - b.vertices[draw(st.integers(0, 7))]
+        b = Brick("b", b.origin + shift, b.u, b.v, b.w)
+    return a, b
+
+
 @st.composite
 def grid_boxes(draw, label="b"):
     lo = [draw(coords) for _ in range(3)]
@@ -254,6 +334,20 @@ class TestClassifyExamples:
         assert vec3(1, "7/3", "5/3") in _intersection_vertices(a, b)
         a, b = SKEW_EXAMPLES["dyadic-coordinates"]
         assert vec3("3/4", "7/12", "1/6") in _intersection_vertices(a, b)
+
+    def test_coframed_examples(self):
+        contacts = {kind: classify_contact(a, b)
+                    for kind, (a, b) in COFRAMED_EXAMPLES.items()}
+        assert {kind: c.kind for kind, c in contacts.items()} == {
+            kind: kind for kind in ContactKind}
+        a, b = COFRAMED_EXAMPLES[ContactKind.DISJOINT]
+        assert all(max(alo, blo) < min(ahi, bhi)
+                   for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb))
+        assert contacts[ContactKind.POINT].points == (vec3(1, 1, 2),)
+        assert contacts[ContactKind.WHOLE_EDGE].points == (
+            vec3(2, 1, 0), vec3(3, 2, 1))
+        face = contacts[ContactKind.WHOLE_FACE]
+        assert (face.face_a, face.face_b) == (1, 2)  # +u face of a, +v face of b
 
     def test_skew_whole_face(self):
         # two copies of the same skew brick stacked along w share a whole face
@@ -377,3 +471,26 @@ def test_intersection_vertices_match_triple_oracle(a, b):
     oracle = triple_enumeration_vertices(a, b)
     assert ours == oracle
     assert _affine_dim(ours) == _affine_dim(oracle)
+
+
+def clip_contact(a: Brick, b: Brick):
+    verts = _intersection_vertices(a, b)
+    return _classify_from_vertices(a, b, _affine_dim(verts), verts)
+
+
+def typed(contact):
+    return (contact.kind, contact.face_a, contact.face_b,
+            [[(type(c), c) for c in p] for p in contact.points])
+
+
+@settings(max_examples=200, deadline=None)
+@given(coframed_pairs())
+@coframed_examples
+def test_coframed_intervals_match_clip(pair):
+    """A co-framed pair is classified from frame intervals; the edge clip
+    decides it independently, in both orders, down to the scalar types of
+    the contact points."""
+    a, b = pair
+    assert a._frame[0] == b._frame[0]
+    for x, y in ((a, b), (b, a)):
+        assert typed(classify_contact(x, y)) == typed(clip_contact(x, y))
