@@ -172,9 +172,9 @@ def cmd_genus(args) -> int:
         document["genus_unavailable"] = stats.genus_reason
     if args.oracle:
         try:
-            document["oracle_chi"] = voxel_chi(complex, scalar(args.resolution))
+            document["oracle_chi"] = voxel_chi(complex)
             document["oracle_agrees"] = document["oracle_chi"] == stats.chi
-        except (GeometryError, VoxelError) as exc:
+        except VoxelError as exc:
             raise CliError(f"--oracle: {exc}") from exc
     summary = (
         f"{complex.name or args.input}: chi={stats.chi}"
@@ -272,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check chi against the voxel oracle")
-    p.add_argument("--resolution", default="1",
-                   help="voxel resolution for --oracle (default 1)")
     p.set_defaults(func=cmd_genus)
 
     p = sub.add_parser("table-chi", help="Euler characteristic of a piece table")

@@ -26,7 +26,7 @@ from .complexes import (
     component_count,
     validate,
 )
-from .geometry import Brick, Point3, Scalar, Vec3, brick_from_box, vec3
+from .geometry import Brick, Point3, Scalar, Vec3, _quoted, brick_from_box, vec3
 from .refinement import two_opposite_covered
 from .surface import PieceRow, PieceTable, surface_stats
 
@@ -347,9 +347,11 @@ def fixture(name: str) -> BrickComplex:
         try:
             seed = int(name.split("-", 1)[1])
         except ValueError:
-            raise ConstructionError(f"bad random fixture seed in {name!r}") from None
+            raise ConstructionError(
+                f"bad random fixture seed in {_quoted(name)}"
+            ) from None
         return random_rectilinear(seed)
     raise ConstructionError(
-        f"unknown fixture {name!r}; known: {', '.join(fixture_names())} "
+        f"unknown fixture {_quoted(name)}; known: {', '.join(fixture_names())} "
         "or random-<seed>"
     )

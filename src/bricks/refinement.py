@@ -144,8 +144,9 @@ def apply_schedule(complex: BrickComplex, schedule: RefinementSchedule) -> Brick
     """
     unknown = set(schedule) - set(complex.labels)
     if unknown:
-        listed = ", ".join(map(_quoted, sorted(unknown)))
-        raise RefinementError(f"schedule references unknown labels [{listed}]")
+        listed = ", ".join(map(_quoted, sorted(unknown)[:3]))
+        more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
+        raise RefinementError(f"schedule references unknown labels [{listed}]{more}")
     out = []
     for b in complex.bricks:
         out.extend(expand(b, schedule.get(b.id, Keep())))

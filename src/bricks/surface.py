@@ -12,17 +12,12 @@ that of the embedded version.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
+from math import prod
 from typing import Optional
 
 from .complexes import BrickComplex, ValidationReport
-from .geometry import (
-    FACE_CYCLES,
-    FACE_EDGE_INDICES,
-    ContactKind,
-    Scalar,
-    _quoted,
-)
+from .geometry import FACE_CYCLES, FACE_EDGE_INDICES, ContactKind, _quoted
 
 
 class TopologyError(ValueError):
@@ -314,38 +309,40 @@ def piece_table_chi(table: PieceTable) -> TableTotals:
 # --- voxel oracle -----------------------------------------------------------
 
 
+# bounds the oracle's time and memory: a million cells take about 5 s, 150 MB
+CELL_BUDGET = 1_000_000
+
+
 class VoxelError(ValueError):
-    """Input not rasterizable: skew bricks or non-integral coordinates."""
+    """Input voxel_chi refuses: a skew brick, or more cells than CELL_BUDGET."""
 
 
-def voxel_chi(complex: BrickComplex, resolution: Scalar = 1) -> int:
+def voxel_chi(complex: BrickComplex) -> int:
     """V - E + F of the voxelized boundary of a rectilinear complex.
 
-    Rasterizes the union into cubic cells of side `resolution`, takes the
-    squares between occupied and empty cells together with their grid edges
-    and grid points, and counts them geometrically. Independent of
-    surface_stats: a brute-force oracle for properly joined rectilinear
-    complexes.
+    Rasterizes the union on the complex's own grid: each box coordinate is
+    replaced by its index among the distinct ones on its axis, a monotone map
+    that keeps chi. Counts the squares between occupied and empty cells with
+    their grid edges and grid points. Independent of surface_stats: a
+    brute-force oracle for properly joined rectilinear complexes.
     """
-    if resolution <= 0:
-        raise VoxelError(f"resolution must be positive, got {resolution}")
-    occupied = set()
     for b in complex.bricks:
         if b.box is None:
             raise VoxelError(f"brick {_quoted(b.id)} is not rectilinear")
-        spans = []
-        for lo, hi in b.box:
-            flo, fhi = Fraction(lo, 1) / resolution, Fraction(hi, 1) / resolution
-            if flo.denominator != 1 or fhi.denominator != 1:
-                raise VoxelError(
-                    f"brick {_quoted(b.id)} has coordinates not integral at "
-                    f"resolution {resolution}"
-                )
-            spans.append((int(flo), int(fhi)))
-        for x in range(spans[0][0], spans[0][1]):
-            for y in range(spans[1][0], spans[1][1]):
-                for z in range(spans[2][0], spans[2][1]):
-                    occupied.add((x, y, z))
+    grid = [sorted({x for b in complex.bricks for x in b.box[a]}) for a in range(3)]
+    index = [{c: i for i, c in enumerate(coords)} for coords in grid]
+    spans = [
+        [(index[a][lo], index[a][hi]) for a, (lo, hi) in enumerate(b.box)]
+        for b in complex.bricks
+    ]
+    cells = sum(prod(hi - lo for lo, hi in span) for span in spans)
+    if cells > CELL_BUDGET:
+        raise VoxelError(
+            f"bricks cover {cells} cells of the grid, over the budget of {CELL_BUDGET}"
+        )
+    occupied = set()
+    for span in spans:
+        occupied.update(product(*(range(lo, hi) for lo, hi in span)))
 
     squares = set()
     for (x, y, z) in occupied:

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, including the exit-code contract."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -341,10 +343,8 @@ def test_long_token_gives_one_short_error_line(capsys, tmp_path, command, text):
         (f"brick {LONG} 0 0 0 1 0 0 0 1 0 0 0 1\n", f"{LONG} quarter\n",
          ["refine", "--schedule"]),
         (f"brick {LONG} 0 0 0 1 0 0 1 1 0 0 0 1\n", None, ["genus", "--oracle"]),
-        (f"brick {LONG} 0 0 0 1 0 0 0 1 0 0 0 1\n", None,
-         ["genus", "--oracle", "--resolution", "2"]),
     ],
-    ids=["unknown-label", "no-longest-generator", "not-rectilinear", "not-integral"],
+    ids=["unknown-label", "no-longest-generator", "not-rectilinear"],
 )
 def test_long_label_gives_one_short_error_line(capsys, tmp_path, bricks, schedule,
                                                argv):
@@ -364,11 +364,72 @@ def test_long_label_gives_one_short_error_line(capsys, tmp_path, bricks, schedul
     assert len(line) - len(str(path)) < 200
 
 
+def test_many_unknown_labels_give_one_short_error_line(capsys, tmp_path):
+    good = tmp_path / "good.bricks"
+    good.write_text(CUBE_LINE)
+    schedule = tmp_path / "many.schedule"
+    schedule.write_text("".join(f"label{i} keep\n" for i in range(1000)))
+    code, out, err = run(capsys, "refine", str(good), "--schedule", str(schedule))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line == (
+        "error: schedule references unknown labels "
+        "['label0', 'label1', 'label10'] and 997 more"
+    )
+
+
+@pytest.mark.parametrize(
+    "name", [LONG, "random-" + "7" * 5000], ids=["unknown-fixture", "random-seed"]
+)
+def test_long_build_name_gives_one_short_error_line(capsys, name):
+    code, out, err = run(capsys, "build", name)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    assert f"{name[:20]!r}... ({len(name)} characters)" in line
+    # the list of known fixture names takes about 150 characters
+    assert len(line) < 250
+
+
+def test_oracle_memory_is_bounded_by_the_input(tmp_path):
+    """One brick of side 100000 is one cell of the complex's grid, so the
+    oracle runs in a 400 MB address space."""
+    path = tmp_path / "big.bricks"
+    path.write_text("brick A 0 0 0  100000 0 0  0 100000 0  0 0 100000\n")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400_000_000, 400_000_000))\n"
+        "from bricks.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, "genus", str(path), "--oracle"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["oracle_chi"] == 2 and doc["oracle_agrees"] is True
+
+
+def test_oracle_over_the_cell_budget_exits_two(capsys, tmp_path):
+    path = tmp_path / "over.bricks"
+    path.write_text(
+        "brick box 0 0 0 100 0 0 0 100 0 0 0 100\n"
+        + "".join(f"brick d{i} {i} {i} {i} 1 0 0 0 1 0 0 0 1\n" for i in range(100))
+    )
+    code, out, err = run(capsys, "genus", str(path), "--oracle")
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: --oracle: ") and "over the budget" in line
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["build", "zz-embedded", "--cube-side", "1e3"],
-        ["genus", "{cube}", "--oracle", "--resolution", "1e3"],
     ],
     ids=lambda argv: argv[-2],
 )

@@ -18,7 +18,7 @@ from bricks.constructions import (
     zz_immersed,
 )
 from bricks.geometry import Brick, Vec3, brick_from_box, det3, vec3
-from bricks.refinement import apply_schedule, standard_zz_schedule
+from bricks.refinement import Octasect, apply_schedule, standard_zz_schedule
 from bricks.surface import (
     PieceRow,
     PieceTable,
@@ -241,7 +241,8 @@ class TestVoxelOracle:
 
     def test_finer_resolution_agrees(self):
         c = fixture("block-2x2x2")
-        assert voxel_chi(c, 1) == voxel_chi(c, Fraction(1, 2)) == 2
+        octasected = apply_schedule(c, {label: Octasect() for label in c.labels})
+        assert voxel_chi(c) == voxel_chi(octasected) == 2
 
     def test_skew_brick_rejected(self):
         with pytest.raises(VoxelError):
@@ -249,13 +250,41 @@ class TestVoxelOracle:
 
     def test_non_integral_coordinates_rejected(self):
         c = brick_complex([brick_from_box((0, 0, 0), (Fraction(1, 2), 1, 1), "a")])
-        with pytest.raises(VoxelError):
-            voxel_chi(c, 1)
-        assert voxel_chi(c, Fraction(1, 2)) == 2
+        assert voxel_chi(c) == 2
 
     def test_bad_resolution_rejected(self):
-        with pytest.raises(VoxelError):
-            voxel_chi(fixture("cube"), 0)
+        """A 100^3 box cut by the grid lines of 100 unit cubes on its
+        diagonal covers 100^3 + 100 cells: over the budget."""
+        c = brick_complex(
+            [brick_from_box((0, 0, 0), (100, 100, 100), "box")]
+            + [brick_from_box((i, i, i), (i + 1,) * 3, f"d{i}") for i in range(100)]
+        )
+        with pytest.raises(VoxelError, match="1000100 cells"):
+            voxel_chi(c)
+
+    @pytest.mark.parametrize("seed", range(1, 51))
+    def test_octasected_polycubes_match_surface_stats(self, seed):
+        c = random_rectilinear(seed)
+        refined = apply_schedule(c, {label: Octasect() for label in c.labels})
+        assert stats_of(refined).chi == voxel_chi(refined)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 50),
+        st.fractions(Fraction(1, 30), 30, max_denominator=30),
+        st.tuples(*[st.fractions(-50, 50, max_denominator=30)] * 3),
+    )
+    def test_invariant_under_scaling_and_translation(self, seed, k, shift):
+        c, _, _, chi = polycube_and_oracles(seed)
+        moved = brick_complex(
+            brick_from_box(
+                [k * lo + t for (lo, _), t in zip(b.box, shift)],
+                [k * hi + t for (_, hi), t in zip(b.box, shift)],
+                b.id,
+            )
+            for b in c
+        )
+        assert voxel_chi(moved) == chi
 
 
 class TestOracleEquivalence:
@@ -299,7 +328,8 @@ class TestOracleEquivalence:
     def check_transform(self, m, skew):
         """Seeds 1-50 of random_rectilinear, moved by the matrix m, keep every
         contact (kind, faces, moved points), arc, V/E/F/chi/genus, and chi
-        equals voxel_chi of the unmoved complex."""
+        equals voxel_chi of the unmoved complex and, when the moved bricks
+        are rectilinear, of the moved one."""
         flip = det3(*(Vec3(*row) for row in m)) < 0
 
         def face(f):
@@ -330,6 +360,8 @@ class TestOracleEquivalence:
             assert moved_stats.as_tuple() == stats.as_tuple()
             assert moved_stats.genus == stats.genus
             assert moved_stats.chi == chi
+            if not skew:
+                assert voxel_chi(moved) == chi
 
 
 class TestRefinementInvariance:
