@@ -17,6 +17,10 @@ Three stages, all exact:
 3. Verify the shipped bend constants: build zz_embedded and run the full
    assertion battery, including refinement down to the cornerless state.
 
+Exits 1, with one line naming each failed claim, if the straight object's
+improper pairs are not the four above, a single-joint search finds a hit,
+or the refined embedded object has a corner.
+
 Usage: python scripts/derive_zz_geometry.py [--skip-search]
 """
 
@@ -34,6 +38,8 @@ from bricks.geometry import classify_contact, vec3
 from bricks.refinement import apply_schedule, standard_zz_schedule, two_opposite_covered
 from bricks.surface import surface_stats
 
+STRAIGHT_CONFLICTS = [("X1", "Z2"), ("X2", "Z1"), ("X2", "Z3"), ("X3", "Z2")]
+
 
 def audit_straight_object():
     c = zz_immersed()
@@ -47,11 +53,16 @@ def audit_straight_object():
             conflicts.append((pc.a, pc.b))
     print(f"conflict pairs: {conflicts}")
     print("minimum vertex cover of the conflict graph: {X2, Z2}\n")
+    if sorted(conflicts) != STRAIGHT_CONFLICTS:
+        return [f"straight object's improper pairs are {sorted(conflicts)}, "
+                f"not {STRAIGHT_CONFLICTS}"]
+    return []
 
 
 def demonstrate_single_joint_infeasibility():
     """Grid search over joint positions; only the two critical pairs are
-    checked per candidate, so zero hits is conclusive for the full check."""
+    checked per candidate, so zero hits is conclusive for the full check.
+    Returns a failed-claim line for each search with a hit."""
     params = ZZParams()
     labels, x_order, z_order = con._paths(params)
     conn = {}
@@ -81,24 +92,26 @@ def demonstrate_single_joint_infeasibility():
             return None
 
     t0 = time.time()
-    hits = 0
+    hits = [0, 0]
     for jx in range(34, 52):
         for jy in range(0, 61, 2):
             for jz in range(-10, 71, 2):
                 p = pieces("X2", *conn["X2"], vec3(jx, jy, jz))
                 if p and not classify_contact(p[0], straight["Z1"]).improper \
                      and not classify_contact(p[1], straight["Z3"]).improper:
-                    hits += 1
-    print(f"X2 single-joint candidates clearing Z1 and Z3: {hits}")
+                    hits[0] += 1
+    print(f"X2 single-joint candidates clearing Z1 and Z3: {hits[0]}")
     for jz in range(33, 38):
         for jx in range(-10, 81, 2):
             for jy in range(-20, 41, 2):
                 p = pieces("Z2", *conn["Z2"], vec3(jx, jy, jz))
                 if p and not classify_contact(p[0], straight["X3"]).improper \
                      and not classify_contact(p[1], straight["X1"]).improper:
-                    hits += 1
-    print(f"Z2 single-joint candidates clearing X3 and X1: {hits}")
+                    hits[1] += 1
+    print(f"Z2 single-joint candidates clearing X3 and X1: {hits[1]}")
     print(f"(search took {time.time() - t0:.1f}s)\n")
+    return [f"the {label} single-joint search found {n} hits"
+            for label, n in zip(("X2", "Z2"), hits) if n]
 
 
 def verify_shipped_bends():
@@ -108,6 +121,7 @@ def verify_shipped_bends():
     stats = surface_stats(c, report)
     refined = apply_schedule(c, standard_zz_schedule(c))
     rgraph = brick_graph(refined, validate(refined))
+    n_corners = len(corners(rgraph))
     print(f"zz_embedded: {len(c)} bricks, properly joined "
           f"{report.properly_joined}, covered "
           f"{all(two_opposite_covered(c, report).values())}, "
@@ -115,8 +129,9 @@ def verify_shipped_bends():
     print(f"  surface: chi={stats.chi} genus={stats.genus} "
           f"manifold={stats.edge_manifold and stats.vertex_manifold}")
     print(f"  refined: {len(refined)} bricks, min degree "
-          f"{rgraph.min_degree}, corners {len(corners(rgraph))}")
+          f"{rgraph.min_degree}, corners {n_corners}")
     print(f"  bends: {con.ZIGZAG_BENDS}")
+    return [f"the refined embedded object has {n_corners} corners"] if n_corners else []
 
 
 def main():
@@ -124,11 +139,13 @@ def main():
     ap.add_argument("--skip-search", action="store_true",
                     help="skip the slow infeasibility demonstration")
     args = ap.parse_args()
-    audit_straight_object()
+    failed = audit_straight_object()
     if not args.skip_search:
-        demonstrate_single_joint_infeasibility()
-    verify_shipped_bends()
-    return 0
+        failed += demonstrate_single_joint_infeasibility()
+    failed += verify_shipped_bends()
+    for claim in failed:
+        print(f"claim failed: {claim}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -11,12 +11,15 @@ axis-aligned boxes are the special case). Along the normal of each pair of
 frame directions each brick is an interval, so a co-framed pair is decided
 from three interval overlaps, the oriented-box reduction of Gottschalk, Lin
 & Manocha (OBBTree, 1996); contact points are picked from the vertices.
-Any other pair is disjoint if its bounding boxes are apart, or if one brick
-lies beyond a slab of the other (its extent along the slab's normal ends
-below the slab or starts above it). Else each brick's edges are clipped to
-the other's slabs, with t-bounds kept as integer-style numerator/denominator
-pairs compared by cross-multiplying, giving exactly the vertices of a ∩ b
-(none iff disjoint); the contact kind follows from their affine dimension.
+Each brick's slabs come from its frame: one per pair of frame directions,
+with that pair's cross product as normal. A pair of another kind is
+disjoint if one brick lies beyond a slab of the other (its extent along the
+slab's normal ends below the slab or starts above it). Else each brick's
+edges are clipped to the other's slabs, with t-bounds kept as integer-style
+numerator/denominator pairs compared by cross-multiplying, giving exactly
+the vertices of a ∩ b (none iff disjoint); the contact kind follows from
+their affine dimension. Bounding boxes are tested only by the sweep in
+``complexes.validate``, which classifies no pair whose boxes are apart.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
 
 Scalar = Union[int, Fraction]
+_EXACT_TYPES = frozenset((int, Fraction))
 
 
 class GeometryError(ValueError):
@@ -215,7 +219,8 @@ class Brick:
     """A parallelepiped: an origin plus three independent generator vectors.
 
     Stored canonically with det(u, v, w) > 0; construction swaps v and w if
-    needed (this preserves the point set). Zero volume is rejected.
+    needed (this preserves the point set). Zero volume is rejected, and so
+    is an origin or generator that is not a Vec3 of ints and Fractions.
     """
 
     id: str
@@ -225,11 +230,16 @@ class Brick:
     w: Vec3
 
     def __post_init__(self):
-        d = det3(self.u, self.v, self.w)
+        o, u, v, w = self.origin, self.u, self.v, self.w
+        # exact types, not isinstance: a bool is an int, but True is no coordinate
+        if not (type(o) is type(u) is type(v) is type(w) is Vec3
+                and _EXACT_TYPES.issuperset(map(type, (*o, *u, *v, *w)))):
+            raise GeometryError(f"brick {_quoted(self.id)}: origin and generators "
+                                "must be Vec3s of ints and Fractions")
+        d = det3(u, v, w)
         if d == 0:
             raise GeometryError(f"brick {_quoted(self.id)} has zero volume")
         if d < 0:
-            v, w = self.v, self.w
             object.__setattr__(self, "v", w)
             object.__setattr__(self, "w", v)
 
@@ -261,14 +271,11 @@ class Brick:
         return {p: i for i, p in enumerate(self.vertices)}
 
     @cached_property
-    def edge_segments(self) -> tuple[tuple[Point3, Point3], ...]:
-        """The 12 edges, each as a sorted point pair (canonical)."""
-        vs = self.vertices
-        return tuple(tuple(sorted((vs[a], vs[b]))) for a, b in EDGE_CODES)
-
-    @cached_property
     def edge_index(self) -> dict[tuple[Point3, Point3], int]:
-        return {seg: i for i, seg in enumerate(self.edge_segments)}
+        """Edge index of each of the 12 edges, keyed by its sorted end points."""
+        vs = self.vertices
+        return {tuple(sorted((vs[a], vs[b]))): i
+                for i, (a, b) in enumerate(EDGE_CODES)}
 
     def face_polygon(self, face_index: int) -> tuple[Point3, ...]:
         """Corner cycle of a face, oriented outward."""
@@ -279,30 +286,6 @@ class Brick:
     def face_vertex_sets(self) -> tuple[frozenset, ...]:
         vs = self.vertices
         return tuple(frozenset(vs[c] for c in cyc) for cyc in FACE_CYCLES)
-
-    @cached_property
-    def halfspaces(self) -> tuple[tuple[Vec3, Scalar, Scalar], ...]:
-        """Per generator k: (n, lo, hi) with p inside iff lo <= n.p <= hi.
-
-        n is the cross product of the other two generators in cyclic order,
-        so n . g_k = det > 0 for every k.
-        """
-        o, (u, v, w) = self.origin, self.generators
-        gens = (u, v, w)
-        out = []
-        for k in range(3):
-            n = gens[(k + 1) % 3].cross(gens[(k + 2) % 3])
-            lo = n.dot(o)
-            out.append((n, lo, lo + self.det))
-        return tuple(out)
-
-    def contains(self, p: Point3) -> bool:
-        """Closed containment test."""
-        for n, lo, hi in self.halfspaces:
-            d = n.dot(p)
-            if d < lo or d > hi:
-                return False
-        return True
 
     @cached_property
     def aabb(self) -> tuple[tuple[Scalar, Scalar], ...]:
@@ -327,8 +310,9 @@ class Brick:
     def _frame(self):
         """(key, slots). The key is the frame D: the generator directions as
         primitive integer vectors, first non-zero entry positive, sorted.
-        Slot k is (lo, hi, j, n.g_j < 0): the range of n.p over the brick
-        for n = D[k+1] x D[k+2], and the generator j parallel to D[k]."""
+        Slot k is (n, lo, hi, j, n.g_j < 0) for n = D[k+1] x D[k+2]: the
+        brick is the points p with lo <= n.p <= hi in all three slots, and
+        generator j is the one parallel to D[k]."""
         dirs = []
         for g in self.generators:
             m = lcm(*(c.denominator for c in g))
@@ -341,7 +325,7 @@ class Brick:
             n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
             j = dirs.index(key[k])
             base, rate = n.dot(self.origin), n.dot(self.generators[j])
-            slots.append((base + min(rate, 0), base + max(rate, 0), j, rate < 0))
+            slots.append((n, base + min(rate, 0), base + max(rate, 0), j, rate < 0))
         return key, tuple(slots)
 
 
@@ -404,14 +388,14 @@ DISJOINT = Contact(ContactKind.DISJOINT)
 
 
 def _slab_coordinates(x: Brick, y: Brick):
-    """x in y's slab coordinates, from 12 dot products: per slab of y,
-    (lo, hi, n.p at x's 8 vertices in vertex-code order, n.g for x's 3
-    generators). None if x lies beyond a slab, all its values below lo or
+    """x in y's slab coordinates, from 12 dot products: per slab of y's
+    frame, (lo, hi, n.p at x's 8 vertices in vertex-code order, n.g for x's
+    3 generators). None if x lies beyond a slab, all its values below lo or
     all above hi: x is then in an open half-space that misses y.
     """
     o, gens = x.origin, x.generators
     out = []
-    for n, lo, hi in y.halfspaces:
+    for n, lo, hi, _, _ in y._frame[1]:
         base = n.dot(o)
         ru, rv, rw = rates = (n.dot(gens[0]), n.dot(gens[1]), n.dot(gens[2]))
         side = [base, base + rw]
@@ -522,7 +506,7 @@ def _coframed_contact(a: Brick, b: Brick) -> Contact:
     generator in that slot to one end, which gives face indices and the
     vertex codes of the contact points."""
     open_j, whole, code, fa, fb = [], True, 0, None, None
-    for (alo, ahi, ja, fla), (blo, bhi, jb, flb) in zip(a._frame[1], b._frame[1]):
+    for (_, alo, ahi, ja, fla), (_, blo, bhi, jb, flb) in zip(a._frame[1], b._frame[1]):
         lo, hi = max(alo, blo), min(ahi, bhi)
         if lo > hi:
             return DISJOINT
@@ -557,8 +541,5 @@ def classify_contact(a: Brick, b: Brick) -> Contact:
     """
     if a._frame[0] == b._frame[0]:
         return _coframed_contact(a, b)
-    for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb):
-        if ahi < blo or bhi < alo:
-            return DISJOINT
     verts = _intersection_vertices(a, b)
     return _classify_from_vertices(a, b, _affine_dim(verts), verts)

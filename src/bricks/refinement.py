@@ -16,6 +16,7 @@ from typing import Mapping, Union
 
 from .complexes import BrickComplex, ValidationReport, validate
 from .geometry import Brick, Scalar, _quoted, opposite_face
+from .surface import covered_faces
 
 
 class RefinementError(ValueError):
@@ -172,15 +173,13 @@ def two_opposite_covered(
     """Per brick: does some opposite face pair appear covered (whole-face
     contacts on both k- and k+)?"""
     report.check_matches(complex)
-    covered: dict[str, set[int]] = {label: set() for label in complex.labels}
-    for pc in report.whole_face_contacts():
-        covered[pc.a].add(pc.contact.face_a)
-        covered[pc.b].add(pc.contact.face_b)
+    covered = covered_faces(report)
     return {
         label: any(
-            f in faces and opposite_face(f) in faces for f in faces
+            (label, f) in covered and (label, opposite_face(f)) in covered
+            for f in range(0, 6, 2)
         )
-        for label, faces in covered.items()
+        for label in complex.labels
     }
 
 

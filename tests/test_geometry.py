@@ -14,9 +14,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bricks.geometry import (
+    DISJOINT,
     Brick,
     ContactKind,
     GeometryError,
+    Vec3,
     _affine_dim,
     _classify_from_vertices,
     _intersection_vertices,
@@ -103,6 +105,16 @@ class TestBrick:
         with pytest.raises(GeometryError):
             box((0, 0, 0), (1, 1, 0))
 
+    @pytest.mark.parametrize("origin, u", [
+        (Vec3(0.0, 0, 0), vec3(1, 0, 0)),
+        (vec3(0, 0, 0), Vec3(0.5, 0, 0)),
+        (vec3(0, 0, 0), Vec3(True, 0, 0)),
+        ((0, 0, 0), vec3(1, 0, 0)),
+    ], ids=["float-origin", "float-generator", "bool", "tuple-origin"])
+    def test_inexact_coordinates_rejected(self, origin, u):
+        with pytest.raises(GeometryError):
+            Brick("x", origin, u, vec3(0, 1, 0), vec3(0, 0, 1))
+
     def test_zero_volume_rejected(self):
         with pytest.raises(GeometryError):
             Brick("z", vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0), vec3(1, 1, 0))
@@ -116,7 +128,7 @@ class TestBrick:
         assert list(UNIT.vertices) == [
             vec3(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)
         ]
-        assert len(set(UNIT.edge_segments)) == 12
+        assert len(UNIT.edge_index) == 12
         assert len({UNIT.face_polygon(f) for f in range(6)}) == 6
 
     def test_skew_vertex_sum(self):
@@ -184,6 +196,24 @@ def skew_examples(test):
     for a, b in SKEW_EXAMPLES.values():
         test = example(a, b)(test)
     return test
+
+
+# Pairs not of one frame whose bounding boxes are 1/3 apart, for
+# @example: the classifier does not test bounding boxes, so the slabs or the
+# clip must find them disjoint
+APART_EXAMPLES = {
+    # a lies beyond a slab of b
+    "slab-reject": (
+        Brick("a", vec3(-2, 0, 1), vec3(2, 0, 0), vec3(2, -2, 1), vec3(-1, -2, -1)),
+        Brick("b", vec3("22/3", -1, 1), vec3(-1, 1, 2), vec3(-2, 2, -1), vec3(-2, -1, 1)),
+    ),
+    # each lies within every slab of the other: no face normal separates
+    # them, and every edge clips to nothing
+    "empty-clip": (
+        Brick("a", vec3(-2, 0, 1), vec3(1, 2, 0), vec3(1, 1, 2), vec3(1, 2, -1)),
+        Brick("b", vec3(0, -1, "16/3"), vec3(-1, 2, -2), vec3(-2, 0, 1), vec3(-1, 0, 1)),
+    ),
+}
 
 
 # Frames for co-framed pairs: bricks whose generators share three directions
@@ -276,6 +306,18 @@ def small_bricks(draw, label="s"):
     return Brick(label, origin, *gens)
 
 
+@st.composite
+def apart_pairs(draw):
+    """Two small bricks not of one frame, b moved along an axis until its
+    bounding box starts 1/3 beyond a's."""
+    a, b = draw(small_bricks("a")), draw(small_bricks("b"))
+    assume(a._frame[0] != b._frame[0])
+    axis = draw(st.integers(0, 2))
+    gap = a.aabb[axis][1] - b.aabb[axis][0] + Fraction(1, 3)
+    shift = Vec3(*(gap if k == axis else 0 for k in range(3)))
+    return a, Brick("b", b.origin + shift, b.u, b.v, b.w)
+
+
 class TestClassifyExamples:
     def test_whole_face(self):
         c = classify_contact(UNIT, box((1, 0, 0), (2, 1, 1)))
@@ -335,6 +377,16 @@ class TestClassifyExamples:
         a, b = SKEW_EXAMPLES["dyadic-coordinates"]
         assert vec3("3/4", "7/12", "1/6") in _intersection_vertices(a, b)
 
+    def test_apart_examples(self):
+        for name, (a, b) in APART_EXAMPLES.items():
+            assert a._frame[0] != b._frame[0]
+            assert any(ahi < blo or bhi < alo
+                       for (alo, ahi), (blo, bhi) in zip(a.aabb, b.aabb))
+            assert (_slab_coordinates(a, b) is None) == (name == "slab-reject")
+        a, b = APART_EXAMPLES["empty-clip"]
+        assert _slab_coordinates(b, a) is not None
+        assert _intersection_vertices(a, b) == []
+
     def test_coframed_examples(self):
         contacts = {kind: classify_contact(a, b)
                     for kind, (a, b) in COFRAMED_EXAMPLES.items()}
@@ -358,6 +410,24 @@ class TestClassifyExamples:
         assert (c.face_a, c.face_b) == (5, 4)
 
 
+def planes(brick: Brick):
+    """Per generator k: (n, lo, hi), with n = g_{k+1} x g_{k+2} and p in the
+    brick iff lo <= n.p <= hi in all three; n.g_k = det > 0, so the range is
+    [n.o, n.o + det]. Written here so that the oracles share no slab code
+    with the classifier."""
+    o, gens = brick.origin, brick.generators
+    out = []
+    for k in range(3):
+        n = gens[(k + 1) % 3].cross(gens[(k + 2) % 3])
+        out.append((n, n.dot(o), n.dot(o) + brick.det))
+    return out
+
+
+def inside(brick_planes, p) -> bool:
+    """Closed containment of p in the brick with these planes."""
+    return all(lo <= n.dot(p) <= hi for n, lo, hi in brick_planes)
+
+
 def rasterized_dim(a: Brick, b: Brick) -> int:
     """Spec oracle: sample the closed intersection on the half-integer grid
     of [0, 8]^3 and read the dimension off the per-axis extent pattern.
@@ -371,10 +441,8 @@ def rasterized_dim(a: Brick, b: Brick) -> int:
         range(max(ceil(alo), ceil(blo), 0), min(floor(ahi), floor(bhi), 16) + 1)
         for (alo, ahi), (blo, bhi) in zip(a2.aabb, b2.aabb)
     ]
-    pts = [
-        p for p in (vec3(*q) for q in product(*axes))
-        if a2.contains(p) and b2.contains(p)
-    ]
+    pa, pb = planes(a2), planes(b2)
+    pts = [p for p in (vec3(*q) for q in product(*axes)) if inside(pa, p) and inside(pb, p)]
     if not pts:
         return -1
     return sum(
@@ -410,6 +478,15 @@ class TestClassifyProperties:
     def test_symmetry_skew(self, a, b):
         assert classify_contact(a, b) == classify_contact(b, a).mirrored()
 
+    @settings(max_examples=25, deadline=None)
+    @given(apart_pairs())
+    @example(APART_EXAMPLES["slab-reject"])
+    @example(APART_EXAMPLES["empty-clip"])
+    def test_bounding_boxes_apart_is_disjoint(self, pair):
+        a, b = pair
+        assert classify_contact(a, b) == DISJOINT
+        assert classify_contact(b, a) == DISJOINT
+
     @settings(max_examples=30, deadline=None)
     @given(
         grid_boxes("a"),
@@ -435,13 +512,10 @@ def triple_enumeration_vertices(a: Brick, b: Brick):
     """Independent oracle: every vertex of the intersection polytope lies on
     three defining planes with independent normals; enumerate all triples of
     the 12 planes and filter by the inequalities."""
-    planes = []
-    for brick in (a, b):
-        for n, lo, hi in brick.halfspaces:
-            planes.append((n, lo))
-            planes.append((n, hi))
+    pa, pb = planes(a), planes(b)
+    bounding = [(n, d) for n, lo, hi in pa + pb for d in (lo, hi)]
     found = set()
-    for (n1, d1), (n2, d2), (n3, d3) in combinations(planes, 3):
+    for (n1, d1), (n2, d2), (n3, d3) in combinations(bounding, 3):
         det = det3(n1, n2, n3)
         if det == 0:
             continue
@@ -458,7 +532,7 @@ def triple_enumeration_vertices(a: Brick, b: Brick):
             )
 
         p = vec3(Fraction(col(0), det), Fraction(col(1), det), Fraction(col(2), det))
-        if a.contains(p) and b.contains(p):
+        if inside(pa, p) and inside(pb, p):
             found.add(p)
     return sorted(found)
 
