@@ -34,6 +34,10 @@ class BrickComplex:
     def __post_init__(self):
         # The name and the labels are written to brick files as single
         # tokens, so each must read back as one: no whitespace and no '#'.
+        if type(self.name) is not str:
+            raise ComplexError(
+                f"complex name must be a str, not {type(self.name).__name__}"
+            )
         if self.name and not _one_token(self.name):
             raise ComplexError(
                 f"complex name {_quoted(self.name)} is not one token without '#'"
@@ -57,12 +61,6 @@ class BrickComplex:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.bricks)
-
-    def brick(self, label: str) -> Brick:
-        for b in self.bricks:
-            if b.id == label:
-                return b
-        raise ComplexError(f"no brick labeled {label!r}")
 
 
 def _one_token(label: str) -> bool:

@@ -52,7 +52,7 @@ _SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def _quoted(token: str) -> str:
     """repr of a token; a long one by its head and length, so that an error
     line stays short."""
-    if len(token) <= 40:
+    if type(token) is not str or len(token) <= 40:
         return repr(token)
     return f"{token[:20]!r}... ({len(token)} characters)"
 
@@ -220,7 +220,8 @@ class Brick:
 
     Stored canonically with det(u, v, w) > 0; construction swaps v and w if
     needed (this preserves the point set). Zero volume is rejected, and so
-    is an origin or generator that is not a Vec3 of ints and Fractions.
+    are an id that is not a str and an origin or generator that is not a
+    Vec3 of ints and Fractions.
     """
 
     id: str
@@ -230,6 +231,8 @@ class Brick:
     w: Vec3
 
     def __post_init__(self):
+        if type(self.id) is not str:
+            raise GeometryError(f"brick id must be a str, not {type(self.id).__name__}")
         o, u, v, w = self.origin, self.u, self.v, self.w
         # exact types, not isinstance: a bool is an int, but True is no coordinate
         if not (type(o) is type(u) is type(v) is type(w) is Vec3
@@ -336,7 +339,7 @@ def brick_from_box(min_corner, max_corner, id: str) -> Brick:
     ext = hi - lo
     if ext.x <= 0 or ext.y <= 0 or ext.z <= 0:
         raise GeometryError(
-            f"degenerate box for brick {id!r}: extents {ext} must be positive"
+            f"degenerate box for brick {_quoted(id)}: extents {ext} must be positive"
         )
     return Brick(
         id, lo, Vec3(ext.x, 0, 0), Vec3(0, ext.y, 0), Vec3(0, 0, ext.z)

@@ -2,11 +2,11 @@
 manifold and connectivity checks, genus, plus two independent calculators
 (a voxel oracle for rectilinear complexes and a per-piece table).
 
-Vertices and edges are identified across bricks ONLY through proper
-contacts (whole-face, whole-edge, point), closed transitively. Improper
-pairs contribute no identifications: a self-intersecting object is counted
-abstractly, which is exactly what makes its Euler characteristic equal to
-that of the embedded version.
+For each properly joined pair (whole face, whole edge or point), the
+vertices and edges the two bricks share are identified, closed
+transitively. Improper pairs identify nothing: a self-intersecting object is
+counted abstractly, which is exactly what makes its Euler characteristic
+equal to that of the embedded version.
 """
 
 from __future__ import annotations
@@ -17,36 +17,31 @@ from math import prod
 from typing import Optional
 
 from .complexes import BrickComplex, ValidationReport
-from .geometry import FACE_CYCLES, FACE_EDGE_INDICES, ContactKind, _quoted
+from .geometry import FACE_CYCLES, FACE_EDGE_INDICES, _quoted
 
 
 class TopologyError(ValueError):
     """Raised when a requested topological quantity is undefined."""
 
 
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
+def _find(parent: dict, k):
+    """Root of k's class in a disjoint-set forest kept in a dict (Tarjan
+    1975). A root is never a key, so an unseen key is its own root; the walk
+    halves the path, pointing each visited key at its grandparent."""
+    while k in parent:
+        p = parent[k]
+        if p not in parent:
+            return p
+        grandparent = parent[p]
+        parent[k] = grandparent
+        k = grandparent
+    return k
 
-    def add(self, k):
-        if k not in self.parent:
-            self.parent[k] = k
-        return k
 
-    def find(self, k):
-        self.add(k)
-        root = k
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[k] != root:  # path compression
-            self.parent[k], k = root, self.parent[k]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
+def _union(parent: dict, a, b) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[rb] = ra
 
 
 @dataclass(frozen=True)
@@ -125,80 +120,62 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
     """V, E, F, chi and manifold/connectivity flags of the exposed complex.
 
     Faces are the exposed brick faces. Edges and vertices are brick elements
-    incident to at least one exposed face, identified across bricks through
-    proper contacts only (the shared face's boundary for whole-face contacts,
-    the edge and its endpoints for whole-edge contacts, coincident vertices
-    for point contacts), closed transitively.
+    incident to at least one exposed face. For each properly joined pair, the
+    vertices and edges the two bricks share are identified, closed
+    transitively; improper pairs identify nothing. A proper pair meets in
+    exactly a shared face, edge or point, so the shared elements are the ones
+    on it.
+
+    The surface is vertex-manifold iff the exposed faces around each vertex
+    form one cycle. Each face corner links its two wings (vertex, edge); a
+    wing occurs once per face on its edge, so every wing occurs twice iff the
+    surface is edge-manifold, and then each vertex must have one class of
+    linked wings.
     """
     report.check_matches(complex)
-    bricks = complex.bricks
-    index = {b.id: i for i, b in enumerate(bricks)}
-
-    vertex_uf = UnionFind()
-    edge_uf = UnionFind()
-    for bi in range(len(bricks)):
-        for vc in range(8):
-            vertex_uf.add((bi, vc))
-        for ec in range(12):
-            edge_uf.add((bi, ec))
-
-    def union_edge_by_points(bi, bj, p, q):
-        seg = (p, q) if p <= q else (q, p)
-        ei = bricks[bi].edge_index.get(seg)
-        ej = bricks[bj].edge_index.get(seg)
-        if ei is not None and ej is not None:
-            edge_uf.union((bi, ei), (bj, ej))
-
-    def union_vertex_by_point(bi, bj, p):
-        vi = bricks[bi].vertex_index.get(p)
-        vj = bricks[bj].vertex_index.get(p)
-        if vi is not None and vj is not None:
-            vertex_uf.union((bi, vi), (bj, vj))
-
+    by_id = {b.id: b for b in complex.bricks}
+    vertex_of: dict = {}
+    edge_of: dict = {}
     for pc in report.contacts:
-        c = pc.contact
-        bi, bj = index[pc.a], index[pc.b]
-        if c.kind is ContactKind.WHOLE_FACE:
-            cycle = bricks[bi].face_polygon(c.face_a)
-            for p in cycle:
-                union_vertex_by_point(bi, bj, p)
-            for k in range(4):
-                union_edge_by_points(bi, bj, cycle[k], cycle[(k + 1) % 4])
-        elif c.kind is ContactKind.WHOLE_EDGE:
-            p, q = c.points
-            union_edge_by_points(bi, bj, p, q)
-            union_vertex_by_point(bi, bj, p)
-            union_vertex_by_point(bi, bj, q)
-        elif c.kind is ContactKind.POINT:
-            union_vertex_by_point(bi, bj, c.points[0])
-        # improper contacts identify nothing: the count stays abstract
+        if pc.contact.improper:
+            continue
+        a, b = by_id[pc.a], by_id[pc.b]
+        for parent, ia, ib in (
+            (vertex_of, a.vertex_index, b.vertex_index),
+            (edge_of, a.edge_index, b.edge_index),
+        ):
+            for key in ia.keys() & ib.keys():
+                _union(parent, (pc.a, ia[key]), (pc.b, ib[key]))
 
-    exposed = [(index[label], f) for label, f in exposed_faces(complex, report)]
+    exposed = exposed_faces(complex, report)
+    vertices, wings = set(), set()
+    edge_faces: dict = {}
+    link: dict = {}
+    for face in exposed:
+        label, f = face
+        es = [_find(edge_of, (label, ec)) for ec in FACE_EDGE_INDICES[f]]
+        for e in es:
+            edge_faces.setdefault(e, []).append(face)
+        for pos, vc in enumerate(FACE_CYCLES[f]):
+            v = _find(vertex_of, (label, vc))
+            vertices.add(v)
+            prev_wing, next_wing = (v, es[pos - 1]), (v, es[pos])
+            wings.update((prev_wing, next_wing))
+            _union(link, prev_wing, next_wing)
 
-    vertex_roots = set()
-    edge_faces: dict[tuple, list[tuple[int, int]]] = {}
-    for bi, f in exposed:
-        for vc in FACE_CYCLES[f]:
-            vertex_roots.add(vertex_uf.find((bi, vc)))
-        for ec in FACE_EDGE_INDICES[f]:
-            edge_faces.setdefault(edge_uf.find((bi, ec)), []).append((bi, f))
-
-    v_count = len(vertex_roots)
+    v_count = len(vertices)
     e_count = len(edge_faces)
     f_count = len(exposed)
     chi = v_count - e_count + f_count
 
     edge_manifold = all(len(faces) == 2 for faces in edge_faces.values())
+    vertex_manifold = edge_manifold and len({_find(link, w) for w in wings}) == v_count
 
-    face_uf = UnionFind()
-    for bi, f in exposed:
-        face_uf.add((bi, f))
+    joined: dict = {}
     for faces in edge_faces.values():
         for other in faces[1:]:
-            face_uf.union(faces[0], other)
-    components = len({face_uf.find(face) for face in exposed})
-
-    vertex_manifold = _vertex_umbrellas_are_cycles(exposed, vertex_uf, edge_uf)
+            _union(joined, faces[0], other)
+    components = len({_find(joined, face) for face in exposed})
 
     genus, genus_reason = _genus_and_reason(
         chi, components, edge_manifold and vertex_manifold
@@ -215,48 +192,6 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
         genus=genus,
         genus_reason=genus_reason,
     )
-
-
-def _vertex_umbrellas_are_cycles(exposed, vertex_uf, edge_uf) -> bool:
-    """Around every counted vertex, the exposed faces must form one cycle.
-
-    A node is a (face, corner) incidence at the vertex; its two wings are
-    the face's boundary edges at that corner. The umbrella is a single
-    cycle iff every wing edge class occurs exactly twice and the nodes are
-    connected through shared wings.
-    """
-    umbrellas: dict[tuple, list[tuple]] = {}
-    for bi, f in exposed:
-        cycle = FACE_CYCLES[f]
-        edge_ids = FACE_EDGE_INDICES[f]
-        for pos, vc in enumerate(cycle):
-            vroot = vertex_uf.find((bi, vc))
-            prev_edge = edge_uf.find((bi, edge_ids[(pos - 1) % 4]))
-            next_edge = edge_uf.find((bi, edge_ids[pos]))
-            umbrellas.setdefault(vroot, []).append(
-                ((bi, f, pos), prev_edge, next_edge)
-            )
-
-    for nodes in umbrellas.values():
-        wing_count: dict[tuple, int] = {}
-        for _, e1, e2 in nodes:
-            wing_count[e1] = wing_count.get(e1, 0) + 1
-            wing_count[e2] = wing_count.get(e2, 0) + 1
-        if any(count != 2 for count in wing_count.values()):
-            return False
-        uf = UnionFind()
-        by_wing: dict[tuple, list] = {}
-        for node, e1, e2 in nodes:
-            uf.add(node)
-            by_wing.setdefault(e1, []).append(node)
-            by_wing.setdefault(e2, []).append(node)
-        for members in by_wing.values():
-            for other in members[1:]:
-                uf.union(members[0], other)
-        roots = {uf.find(node) for node, _, _ in nodes}
-        if len(roots) != 1:
-            return False
-    return True
 
 
 # --- per-piece Euler characteristic tables ---------------------------------

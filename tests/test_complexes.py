@@ -31,6 +31,7 @@ from bricks.constructions import (
 from bricks.geometry import (
     Brick,
     ContactKind,
+    GeometryError,
     brick_from_box,
     classify_contact,
     det3,
@@ -50,6 +51,14 @@ def test_duplicate_labels_rejected():
     b = brick_from_box((0, 0, 0), (1, 1, 1), "x")
     with pytest.raises(ComplexError):
         brick_complex([b, b])
+
+
+def test_non_str_brick_id_or_name_is_a_typed_error():
+    cube = (vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
+    with pytest.raises(GeometryError, match="must be a str"):
+        brick_complex([Brick(5, *cube)])
+    with pytest.raises(ComplexError, match="must be a str, not int"):
+        brick_complex([Brick("a", *cube)], name=7)
 
 
 def test_two_glued_cubes_properly_joined():

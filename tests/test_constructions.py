@@ -46,7 +46,7 @@ class TestZZImmersed:
 
     def test_first_x_connector_spans_the_two_cube_faces(self):
         # face-corner to face-corner arithmetic from the published centers
-        conn = zz_immersed().brick("X1")
+        (conn,) = [b for b in zz_immersed().bricks if b.id == "X1"]
         assert conn.origin == vec3(12, 18, 28)
         assert conn.u == vec3(16, 20, 20)
         assert conn.v == vec3(0, 4, 0) and conn.w == vec3(0, 0, 4)

@@ -105,6 +105,23 @@ class TestBrick:
         with pytest.raises(GeometryError):
             box((0, 0, 0), (1, 1, 0))
 
+    def test_degenerate_box_error_quotes_a_long_label_short(self):
+        label = "x" * 5000
+        with pytest.raises(GeometryError) as info:
+            box((0, 0, 0), (0, 1, 1), label)
+        message = str(info.value)
+        assert "\n" not in message and len(message) < 250
+        assert "(5000 characters)" in message
+
+    def test_non_str_id_rejected(self):
+        # the id is checked first, so a zero-volume brick gets the same error
+        with pytest.raises(GeometryError, match="must be a str, not int"):
+            Brick(5, vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0), vec3(1, 1, 0))
+        with pytest.raises(GeometryError, match="must be a str, not int"):
+            Brick(5, vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
+        with pytest.raises(GeometryError, match="degenerate box for brick 5"):
+            box((0, 0, 0), (0, 1, 1), 5)
+
     @pytest.mark.parametrize("origin, u", [
         (Vec3(0.0, 0, 0), vec3(1, 0, 0)),
         (vec3(0, 0, 0), Vec3(0.5, 0, 0)),

@@ -2,7 +2,9 @@
 voxel oracle, and the per-piece tables."""
 
 import functools
+import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,18 @@ class TestSurfaceStats:
         assert s.as_tuple() == (14, 23, 12, 3)
         assert not s.edge_manifold
         assert s.genus is None
+
+    def test_improper_pair_identifies_nothing(self):
+        # a partial-face pair sharing one whole edge and its two end points:
+        # the shared elements are counted once per brick
+        c = brick_complex(
+            [
+                brick_from_box((0, 0, 0), (1, 1, 1), "a"),
+                brick_from_box((1, 0, 0), (2, 2, 1), "b"),
+            ]
+        )
+        assert not validate(c).properly_joined
+        assert stats_of(c).as_tuple() == (16, 24, 12, 4)
 
     def test_disconnected_surfaces_counted(self):
         c = brick_complex(
@@ -362,6 +376,112 @@ class TestOracleEquivalence:
             assert moved_stats.chi == chi
             if not skew:
                 assert voxel_chi(moved) == chi
+
+
+def _class_count(groups):
+    """Number of classes of the members of groups, two members being in one
+    class when a chain of groups joins them (a flood fill)."""
+    groups_of = {}
+    for g in groups:
+        for m in g:
+            groups_of.setdefault(m, []).append(g)
+    seen, count = set(), 0
+    for start in groups_of:
+        if start in seen:
+            continue
+        count += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for g in groups_of[stack.pop()]:
+                for m in g:
+                    if m not in seen:
+                        seen.add(m)
+                        stack.append(m)
+    return count
+
+
+def grid_manifold_oracle(cells):
+    """(edge_manifold, vertex_manifold, surface_components) of the boundary
+    of a union of unit grid cells, from its grid squares alone.
+
+    A grid edge is non-manifold iff it borders 4 boundary squares. A grid
+    point is manifold iff every edge at it borders 2 squares and its squares
+    form one link through those edges. Components are squares joined
+    through shared edges.
+    """
+    squares = []
+    for cell in cells:
+        for axis, side in product(range(3), (0, 1)):
+            n = list(cell)
+            n[axis] += 2 * side - 1
+            if tuple(n) not in cells:
+                squares.append(frozenset(
+                    p for p in product(*((x, x + 1) for x in cell))
+                    if p[axis] == cell[axis] + side
+                ))
+    squares_on = {}
+    for sq in squares:
+        for p, q in combinations(sorted(sq), 2):
+            if sum(a != b for a, b in zip(p, q)) == 1:
+                squares_on.setdefault((p, q), []).append(sq)
+    edges_at = {}
+    for e in squares_on:
+        for p in e:
+            edges_at.setdefault(p, []).append(e)
+    edge_manifold = all(len(s) != 4 for s in squares_on.values())
+    vertex_manifold = all(
+        all(len(squares_on[e]) == 2 for e in es)
+        and _class_count(squares_on[e] for e in es) == 1
+        for es in edges_at.values()
+    )
+    return edge_manifold, vertex_manifold, _class_count(squares_on.values())
+
+
+def random_cells(seed):
+    """A seeded non-empty random subset of the cells of the 4^3 box, at a
+    density drawn from [0.05, 0.95]."""
+    rng = random.Random(seed)
+    density = rng.uniform(0.05, 0.95)
+    cells = set()
+    while not cells:
+        cells = {p for p in product(range(4), repeat=3) if rng.random() < density}
+    return cells
+
+
+class TestManifoldOracle:
+    """edge_manifold, vertex_manifold and surface_components of unit-cube
+    complexes against grid_manifold_oracle, which sees no contact and no
+    brick element."""
+
+    def check(self, complexes):
+        seen = {"edge": 0, "vertex-only": 0, "components": 0}
+        for c in complexes:
+            s = stats_of(c)
+            cells = {tuple(lo for lo, _ in b.box) for b in c}
+            got = (s.edge_manifold, s.vertex_manifold, s.surface_components)
+            assert got == grid_manifold_oracle(cells), c.name
+            seen["edge"] += not s.edge_manifold
+            seen["vertex-only"] += s.edge_manifold and not s.vertex_manifold
+            seen["components"] += s.surface_components > 1
+        return seen
+
+    def test_random_polycubes(self):
+        seen = self.check(
+            random_rectilinear(seed, max_bricks=60, grid=4) for seed in range(1, 201)
+        )
+        assert seen["edge"] >= 50 and seen["vertex-only"] >= 5
+
+    def test_random_cell_subsets(self):
+        seen = self.check(
+            brick_complex(
+                (brick_from_box(p, tuple(x + 1 for x in p), f"c{i}")
+                 for i, p in enumerate(sorted(random_cells(seed)))),
+                name=f"cells-{seed}",
+            )
+            for seed in range(1, 201)
+        )
+        assert seen["components"] >= 50 and seen["vertex-only"] >= 2
 
 
 class TestRefinementInvariance:
