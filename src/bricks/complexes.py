@@ -44,6 +44,8 @@ class BrickComplex:
             )
         seen = set()
         for b in self.bricks:
+            if type(b) is not Brick:
+                raise ComplexError(f"item must be a Brick, not {type(b).__name__}")
             if not _one_token(b.id):
                 raise ComplexError(
                     f"brick label {_quoted(b.id)} is not one token without '#'"

@@ -180,7 +180,6 @@ def _build_edges():
 
 
 EDGE_CODES = _build_edges()
-EDGE_INDEX = {frozenset(e): i for i, e in enumerate(EDGE_CODES)}
 
 
 def _build_faces():
@@ -201,10 +200,6 @@ def _build_faces():
 
 
 FACE_CYCLES = _build_faces()
-FACE_EDGE_INDICES = tuple(
-    tuple(EDGE_INDEX[frozenset((cyc[i], cyc[(i + 1) % 4]))] for i in range(4))
-    for cyc in FACE_CYCLES
-)
 
 
 def opposite_face(face_index: int) -> int:
@@ -268,10 +263,6 @@ class Brick:
                 p = p + w
             out.append(p)
         return tuple(out)
-
-    @cached_property
-    def vertex_index(self) -> dict[Point3, int]:
-        return {p: i for i, p in enumerate(self.vertices)}
 
     @cached_property
     def edge_index(self) -> dict[tuple[Point3, Point3], int]:

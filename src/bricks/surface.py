@@ -6,7 +6,10 @@ For each properly joined pair (whole face, whole edge or point), the
 vertices and edges the two bricks share are identified, closed
 transitively. Improper pairs identify nothing: a self-intersecting object is
 counted abstractly, which is exactly what makes its Euler characteristic
-equal to that of the embedded version.
+equal to that of the embedded version. A vertex is keyed by its exact point
+and an edge by its sorted pair of end points. A key that no improper pair
+shares is one class: the bricks that share it meet pairwise, and all those
+pairs are proper, so the rule identifies them all.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from math import prod
 from typing import Optional
 
 from .complexes import BrickComplex, ValidationReport
-from .geometry import FACE_CYCLES, FACE_EDGE_INDICES, _quoted
+from .geometry import _quoted
 
 
 class TopologyError(ValueError):
@@ -122,9 +125,13 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
     Faces are the exposed brick faces. Edges and vertices are brick elements
     incident to at least one exposed face. For each properly joined pair, the
     vertices and edges the two bricks share are identified, closed
-    transitively; improper pairs identify nothing. A proper pair meets in
-    exactly a shared face, edge or point, so the shared elements are the ones
-    on it.
+    transitively; improper pairs identify nothing. A vertex is keyed by its
+    point and an edge by its sorted end points. The bricks that share a key
+    meet pairwise, so validate lists each pair of them, and a key that no
+    improper pair shares is one class. At a key that one does share, each
+    brick's element is its own class, joined through the proper pairs that
+    share the key and have a brick in some improper pair; two bricks in
+    none are both properly joined to a brick at the key that is in one.
 
     The surface is vertex-manifold iff the exposed faces around each vertex
     form one cycle. Each face corner links its two wings (vertex, edge); a
@@ -134,18 +141,16 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
     """
     report.check_matches(complex)
     by_id = {b.id: b for b in complex.bricks}
-    vertex_of: dict = {}
-    edge_of: dict = {}
+    keys = lambda label: {*by_id[label].vertices, *by_id[label].edge_index}
+    improper = report.improper_pairs
+    split = set().union(*(keys(pc.a) & keys(pc.b) for pc in improper))
+    in_improper = {label for pc in improper for label in (pc.a, pc.b)}
+    parent: dict = {}
     for pc in report.contacts:
-        if pc.contact.improper:
-            continue
-        a, b = by_id[pc.a], by_id[pc.b]
-        for parent, ia, ib in (
-            (vertex_of, a.vertex_index, b.vertex_index),
-            (edge_of, a.edge_index, b.edge_index),
-        ):
-            for key in ia.keys() & ib.keys():
-                _union(parent, (pc.a, ia[key]), (pc.b, ib[key]))
+        if (pc.a in in_improper or pc.b in in_improper) and not pc.contact.improper:
+            for key in keys(pc.a) & keys(pc.b) & split:
+                _union(parent, (key, pc.a), (key, pc.b))
+    element = lambda key, label: _find(parent, (key, label)) if key in split else key
 
     exposed = exposed_faces(complex, report)
     vertices, wings = set(), set()
@@ -153,11 +158,13 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
     link: dict = {}
     for face in exposed:
         label, f = face
-        es = [_find(edge_of, (label, ec)) for ec in FACE_EDGE_INDICES[f]]
+        ps = by_id[label].face_polygon(f)
+        es = [element((p, q) if p < q else (q, p), label)
+              for p, q in zip(ps, ps[1:] + ps[:1])]
         for e in es:
             edge_faces.setdefault(e, []).append(face)
-        for pos, vc in enumerate(FACE_CYCLES[f]):
-            v = _find(vertex_of, (label, vc))
+        for pos, p in enumerate(ps):
+            v = element(p, label)
             vertices.add(v)
             prev_wing, next_wing = (v, es[pos - 1]), (v, es[pos])
             wings.update((prev_wing, next_wing))

@@ -61,6 +61,12 @@ def test_non_str_brick_id_or_name_is_a_typed_error():
         brick_complex([Brick("a", *cube)], name=7)
 
 
+@pytest.mark.parametrize("items", [["a"], [None], "ab"])
+def test_non_brick_item_is_a_typed_error(items):
+    with pytest.raises(ComplexError, match="must be a Brick"):
+        brick_complex(items)
+
+
 def test_two_glued_cubes_properly_joined():
     r = validate(cubes_at((0, 0, 0), (1, 0, 0)))
     assert r.properly_joined

@@ -13,17 +13,27 @@ from hypothesis import strategies as st
 from bricks.complexes import brick_complex, brick_graph, validate
 from bricks.constructions import (
     fixture,
+    fixture_names,
     random_rectilinear,
     table_buttressed_octahedron,
     table_zz,
     zz_embedded,
     zz_immersed,
 )
-from bricks.geometry import Brick, Vec3, brick_from_box, det3, vec3
+from bricks.geometry import (
+    EDGE_CODES,
+    FACE_CYCLES,
+    Brick,
+    Vec3,
+    brick_from_box,
+    det3,
+    vec3,
+)
 from bricks.refinement import Octasect, apply_schedule, standard_zz_schedule
 from bricks.surface import (
     PieceRow,
     PieceTable,
+    SurfaceStats,
     TopologyError,
     VoxelError,
     exposed_faces,
@@ -133,6 +143,22 @@ class TestSurfaceStats:
         )
         assert not validate(c).properly_joined
         assert stats_of(c).as_tuple() == (16, 24, 12, 4)
+
+    def test_improper_pair_rejoined_through_a_proper_brick(self):
+        # a and b overlap in volume; c shares a whole face with each, which
+        # joins the four points and four edges at x = 0 that a and b share
+        c = brick_complex(
+            [
+                brick_from_box((0, 0, 0), (1, 1, 1), "a"),
+                brick_from_box((0, 0, 0), (2, 1, 1), "b"),
+                brick_from_box((-1, 0, 0), (0, 1, 1), "c"),
+            ]
+        )
+        assert not validate(c).properly_joined
+        s = stats_of(c)
+        assert s.as_tuple() == (16, 28, 15, 3)
+        assert not s.edge_manifold
+        assert s.surface_components == 1
 
     def test_disconnected_surfaces_counted(self):
         c = brick_complex(
@@ -482,6 +508,114 @@ class TestManifoldOracle:
             for seed in range(1, 201)
         )
         assert seen["components"] >= 50 and seen["vertex-only"] >= 2
+
+
+def reference_surface_stats(c, r):
+    """surface_stats by the identification rule itself: a union-find over
+    (label, code) that joins, for each proper pair, every vertex and every
+    edge the two bricks share, each found by its points."""
+    parent = {}
+
+    def find(k):
+        while k in parent:
+            k = parent[k]
+        return k
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    by_id = {b.id: b for b in c}
+    vertex_index = {b.id: {p: i for i, p in enumerate(b.vertices)} for b in c}
+    for pc in r.contacts:
+        if pc.contact.improper:
+            continue
+        for kind, ia, ib in (
+            ("v", vertex_index[pc.a], vertex_index[pc.b]),
+            ("e", by_id[pc.a].edge_index, by_id[pc.b].edge_index),
+        ):
+            for key in ia.keys() & ib.keys():
+                union((kind, pc.a, ia[key]), (kind, pc.b, ib[key]))
+
+    edge_code = {frozenset(e): i for i, e in enumerate(EDGE_CODES)}
+    exposed = exposed_faces(c, r)
+    vertices, wings, edge_faces = set(), set(), {}
+    for face in exposed:
+        label, f = face
+        cyc = FACE_CYCLES[f]
+        es = [find(("e", label, edge_code[frozenset((cyc[i], cyc[(i + 1) % 4]))]))
+              for i in range(4)]
+        for e in es:
+            edge_faces.setdefault(e, []).append(face)
+        for pos, vc in enumerate(cyc):
+            v = find(("v", label, vc))
+            vertices.add(v)
+            wings.update(((v, es[pos - 1]), (v, es[pos])))
+            union(("w", v, es[pos - 1]), ("w", v, es[pos]))
+    for faces in edge_faces.values():
+        for other in faces[1:]:
+            union(("f", faces[0]), ("f", other))
+
+    chi = len(vertices) - len(edge_faces) + len(exposed)
+    edge_manifold = all(len(faces) == 2 for faces in edge_faces.values())
+    vertex_manifold = edge_manifold and len(
+        {find(("w", *w)) for w in wings}) == len(vertices)
+    components = len({find(("f", face)) for face in exposed})
+    try:
+        genus, reason = genus_from_chi(
+            chi, components, edge_manifold and vertex_manifold), None
+    except TopologyError as exc:
+        genus, reason = None, str(exc)
+    return SurfaceStats(len(vertices), len(edge_faces), len(exposed), chi,
+                        components, edge_manifold, vertex_manifold, genus, reason)
+
+
+def overlapping_boxes(seed):
+    """2-9 seeded random boxes with half-integer corners in [0, 3]^3; most
+    such complexes have an improper pair."""
+    rng = random.Random(seed)
+    bricks = []
+    for i in range(rng.randint(2, 9)):
+        lo = [rng.randrange(6) for _ in range(3)]
+        hi = [rng.randint(x + 1, 6) for x in lo]
+        bricks.append(brick_from_box([Fraction(x, 2) for x in lo],
+                                     [Fraction(x, 2) for x in hi], f"b{i}"))
+    return brick_complex(bricks, name=f"boxes-{seed}")
+
+
+class TestReferenceIdentification:
+    """surface_stats against reference_surface_stats, which applies the
+    transitive rule pair by pair."""
+
+    def check(self, complexes):
+        seen = {"improper": 0, "vertex": 0, "edge": 0}
+        for c in complexes:
+            r = validate(c)
+            assert surface_stats(c, r) == reference_surface_stats(c, r), c.name
+            by_id = {b.id: b for b in c}
+            shared = [
+                (set(by_id[pc.a].vertices) & set(by_id[pc.b].vertices),
+                 by_id[pc.a].edge_index.keys() & by_id[pc.b].edge_index.keys())
+                for pc in r.improper_pairs
+            ]
+            seen["improper"] += bool(shared)
+            seen["vertex"] += any(vs for vs, _ in shared)
+            seen["edge"] += any(es for _, es in shared)
+        return seen
+
+    def test_fixtures_and_zz_immersed(self):
+        zz = zz_immersed()
+        self.check([*(fixture(n) for n in fixture_names()), zz,
+                    apply_schedule(zz, standard_zz_schedule(zz))])
+
+    def test_random_polycubes(self):
+        self.check(random_rectilinear(seed) for seed in range(1, 51))
+
+    def test_overlapping_boxes(self):
+        seen = self.check(overlapping_boxes(seed) for seed in range(1, 601))
+        assert seen["improper"] >= 450
+        assert seen["vertex"] >= 350 and seen["edge"] >= 180
 
 
 class TestRefinementInvariance:
