@@ -2,15 +2,18 @@
 
 A complex is a finite labeled list of bricks. Validation classifies every
 pair exactly; a pair whose closed axis-aligned bounding boxes (AABBs) are
-disjoint cannot meet, and is skipped unclassified. The brick graph has a
-node per brick and an arc per pair sharing a single whole face of each. A
-corner is a node of degree three or less.
+disjoint cannot meet, and is skipped unclassified. The report is computed
+once per complex and kept on it; a consumer given it with a complex of other
+bricks raises StaleReportError. The brick graph has a node per brick and an
+arc per pair sharing a single whole face of each. A corner is a node of
+degree three or less.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .geometry import Brick, Contact, ContactKind, _quoted, classify_contact
@@ -64,6 +67,24 @@ class BrickComplex:
     def labels(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.bricks)
 
+    @cached_property
+    def _report(self) -> ValidationReport:
+        # validate()'s memo. classify_contact is looked up in this module on
+        # each call, so a wrapper installed there sees every pair.
+        records = []
+        bricks = self.bricks
+        for i, j in _aabb_meeting_pairs(bricks):
+            contact = classify_contact(bricks[i], bricks[j])
+            if contact.kind is ContactKind.DISJOINT:
+                continue
+            a, b = bricks[i].id, bricks[j].id
+            if a > b:
+                a, b = b, a
+                contact = contact.mirrored()
+            records.append(PairContact(a, b, contact))
+        records.sort(key=lambda pc: (pc.a, pc.b))
+        return ValidationReport(bricks, tuple(records))
+
 
 def _one_token(label: str) -> bool:
     return label.split() == [label] and "#" not in label
@@ -84,12 +105,13 @@ class PairContact:
 class ValidationReport:
     """Full pairwise contact audit of a complex.
 
-    contacts lists every non-disjoint pair, each ordered so a < b by label
-    and the list sorted by (a, b). properly_joined is true iff no pair is
-    improper (volume overlap, partial face, partial edge).
+    bricks is the tuple the report was built from; repr and equality leave
+    it out. contacts lists every non-disjoint pair, each ordered so a < b by
+    label and the list sorted by (a, b). properly_joined is true iff no pair
+    is improper (volume overlap, partial face, partial edge).
     """
 
-    labels: tuple[str, ...]
+    bricks: tuple[Brick, ...] = field(repr=False, compare=False)
     contacts: tuple[PairContact, ...]
 
     @property
@@ -106,10 +128,10 @@ class ValidationReport:
         )
 
     def check_matches(self, complex: BrickComplex) -> None:
-        if self.labels != complex.labels:
-            raise StaleReportError(
-                "validation report labels do not match the complex"
-            )
+        """Raise StaleReportError unless the report was built from this
+        complex's bricks: the same tuple, or an equal one."""
+        if not (self.bricks is complex.bricks or self.bricks == complex.bricks):
+            raise StaleReportError("validation report was built from other bricks")
 
 
 def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
@@ -131,31 +153,15 @@ def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
 
 
 def validate(complex: BrickComplex) -> ValidationReport:
-    """Classify every brick pair whose bounding boxes meet; memoized per
-    complex instance.
+    """The complex's validation report, computed once and kept on it.
 
     Pairs whose closed AABBs are disjoint are skipped unclassified: a ∩ b
     lies inside the intersection of the two AABBs, so each such pair is
     DISJOINT, and the report equals a classification of all n(n-1)/2 pairs.
+    The report goes with this complex: a consumer given it with a complex of
+    other bricks raises StaleReportError.
     """
-    cached = getattr(complex, "_report", None)
-    if cached is not None:
-        return cached
-    records = []
-    bricks = complex.bricks
-    for i, j in _aabb_meeting_pairs(bricks):
-        contact = classify_contact(bricks[i], bricks[j])
-        if contact.kind is ContactKind.DISJOINT:
-            continue
-        a, b = bricks[i].id, bricks[j].id
-        if a > b:
-            a, b = b, a
-            contact = contact.mirrored()
-        records.append(PairContact(a, b, contact))
-    records.sort(key=lambda pc: (pc.a, pc.b))
-    report = ValidationReport(labels=complex.labels, contacts=tuple(records))
-    object.__setattr__(complex, "_report", report)
-    return report
+    return complex._report
 
 
 @dataclass(frozen=True)
@@ -178,20 +184,16 @@ def brick_graph(complex: BrickComplex, report: ValidationReport) -> BrickGraph:
     the report itself retains the improper flag.
     """
     report.check_matches(complex)
-    arcs = []
-    seen = set()
-    for pc in report.whole_face_contacts():
-        pair = (pc.a, pc.b)
-        if pair in seen:
+    arcs = tuple((pc.a, pc.b) for pc in report.whole_face_contacts())
+    for pair, n in Counter(arcs).items():
+        if n > 1:
             # validate() reports each pair once: this report is not its output
             raise StaleReportError(f"report lists the pair {pair} twice")
-        seen.add(pair)
-        arcs.append(pair)
     degree = {label: 0 for label in complex.labels}
     for a, b in arcs:
         degree[a] += 1
         degree[b] += 1
-    return BrickGraph(nodes=complex.labels, arcs=tuple(arcs), degree=degree)
+    return BrickGraph(nodes=complex.labels, arcs=arcs, degree=degree)
 
 
 def corners(graph: BrickGraph) -> list[str]:

@@ -60,15 +60,13 @@ def _quoted(token: str) -> str:
 def scalar(value) -> Scalar:
     """Coerce an int, Fraction, or "n" / "n/d" string to an exact scalar.
 
-    Floats are rejected: the library is exact end to end. Strings are ASCII
-    digits with an optional leading "-" (no decimals, exponents, "+" or "_"),
-    and Python's int digit limit bounds their length.
+    Floats, bools and Fraction subclasses are refused. Strings are ASCII
+    digits with an optional leading "-" (no decimals, exponents, "+" or "_");
+    Python's int digit limit bounds their length.
     """
-    if isinstance(value, bool):
-        raise GeometryError(f"not an exact scalar: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, Fraction):
+    if type(value) is Fraction:  # exact type: skips the ABC instance check
         return _norm(value)
     if isinstance(value, str):
         reason = "expected an integer or n/d"
@@ -85,9 +83,7 @@ def scalar(value) -> Scalar:
 
 def format_scalar(q: Scalar) -> str:
     """Render a scalar as an exact decimal-free token: "5" or "-3/4"."""
-    if isinstance(q, Fraction) and q.denominator != 1:
-        return f"{q.numerator}/{q.denominator}"
-    return str(int(q))
+    return str(q)  # a Fraction of denominator 1 prints as its numerator
 
 
 class Vec3(NamedTuple):
@@ -144,7 +140,7 @@ Point3 = Vec3
 
 
 def _norm_s(q: Scalar) -> Scalar:
-    return _norm(q) if isinstance(q, Fraction) else q
+    return _norm(q) if type(q) is Fraction else q
 
 
 def vec3(x, y, z) -> Vec3:

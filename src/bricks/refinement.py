@@ -15,7 +15,7 @@ from itertools import product
 from typing import Mapping, Union
 
 from .complexes import BrickComplex, ValidationReport, validate
-from .geometry import Brick, Scalar, _quoted, opposite_face
+from .geometry import Brick, Scalar, _quoted, format_scalar, opposite_face
 from .surface import covered_faces
 
 
@@ -84,9 +84,9 @@ def split_many(b: Brick, direction: int, fractions) -> tuple[Brick, ...]:
     if any(not 0 < f < 1 for f in fs) or any(
         fs[i] >= fs[i + 1] for i in range(len(fs) - 1)
     ):
-        raise RefinementError(
-            f"fractions {fs} must be strictly increasing within (0, 1)"
-        )
+        listed = ", ".join(map(format_scalar, fs))
+        raise RefinementError(f"brick {_quoted(b.id)}: fractions {listed} must be "
+                              "strictly increasing within (0, 1)")
     cuts = [fs if k == direction else () for k in range(3)]
     return _grid(b, cuts, lambda cell: f"s{cell[direction]}")
 

@@ -131,6 +131,16 @@ class TestRefine:
         assert code == 2
         assert "b0" in err
 
+    def test_bad_split_names_brick_and_fractions(self, capsys, tmp_path):
+        path = tmp_path / "cube.bricks"
+        run(capsys, "build", "cube", "-o", str(path))
+        sched = tmp_path / "s.schedule"
+        sched.write_text("b0 split 0 1/2,1/2\n")
+        code, _, err = run(capsys, "refine", str(path), "--schedule", str(sched))
+        assert code == 2
+        assert err == ("error: brick 'b0': fractions 1/2, 1/2 must be strictly "
+                       "increasing within (0, 1)\n")
+
 
 class TestGenus:
     def test_embedded_genus_three(self, capsys, zze_file):

@@ -37,7 +37,13 @@ from bricks.geometry import (
     det3,
     vec3,
 )
-from bricks.refinement import apply_schedule, standard_zz_schedule
+from bricks.fileformats import emit_complex, export_obj, parse_complex
+from bricks.refinement import (
+    apply_schedule,
+    standard_zz_schedule,
+    two_opposite_covered,
+)
+from bricks.surface import exposed_faces, surface_stats
 
 
 def cubes_at(*cells):
@@ -135,11 +141,53 @@ def test_stale_report_rejected():
         brick_graph(b, validate(a))
 
 
+@pytest.mark.parametrize(
+    "consumer",
+    [brick_graph, exposed_faces, surface_stats, two_opposite_covered, export_obj],
+    ids=lambda f: f.__name__,
+)
+def test_report_of_other_bricks_with_the_same_labels_rejected(consumer):
+    glued = cubes_at((0, 0, 0), (1, 0, 0))
+    apart = cubes_at((0, 0, 0), (2, 0, 0))
+    assert glued.labels == apart.labels
+    with pytest.raises(StaleReportError):
+        consumer(apart, validate(glued))
+
+
+def test_report_passes_for_the_same_bricks():
+    c = fixture("column-3")
+    report = validate(c)
+    renamed = BrickComplex(c.bricks, name="other")
+    reparsed = parse_complex(emit_complex(c))
+    assert report.bricks is renamed.bricks and report.bricks is not reparsed.bricks
+    for other in (renamed, reparsed):
+        assert brick_graph(other, report) == brick_graph(c, report)
+        assert surface_stats(other, report) == surface_stats(c, report)
+
+
+def test_validate_is_memoized_per_complex(monkeypatch):
+    # properly joined, so apply_schedule validates the refined complex too
+    c = zz_embedded()
+    assert validate(c) is validate(c)
+    refined = apply_schedule(c, standard_zz_schedule(c))
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.id, b.id))
+        return classify_contact(a, b)
+
+    monkeypatch.setattr("bricks.complexes.classify_contact", counting)
+    validate(refined)
+    assert calls == []
+    validate(BrickComplex(refined.bricks))
+    assert calls
+
+
 def test_repeated_pair_report_rejected():
     c = cubes_at((0, 0, 0), (1, 0, 0))
     report = validate(c)
     (pc,) = report.whole_face_contacts()
-    doubled = ValidationReport(labels=report.labels, contacts=(pc, pc))
+    doubled = ValidationReport(report.bricks, contacts=(pc, pc))
     with pytest.raises(StaleReportError, match="twice"):
         brick_graph(c, doubled)
 
@@ -184,7 +232,7 @@ def brute_force_report(complex):
             contact = contact.mirrored()
         records.append(PairContact(a, b, contact))
     records.sort(key=lambda pc: (pc.a, pc.b))
-    return ValidationReport(labels=complex.labels, contacts=tuple(records))
+    return ValidationReport(complex.bricks, contacts=tuple(records))
 
 
 def refined(build, times):

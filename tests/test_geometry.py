@@ -50,6 +50,10 @@ class TestScalar:
         with pytest.raises(GeometryError):
             scalar(0.5)
         with pytest.raises(GeometryError):
+            scalar(True)
+        with pytest.raises(GeometryError):
+            scalar(type("Half", (Fraction,), {})(1, 2))
+        with pytest.raises(GeometryError):
             scalar("a/b")
         with pytest.raises(GeometryError):
             scalar("1/0")
@@ -86,6 +90,7 @@ class TestScalar:
         assert format_scalar(Fraction(1, 2)) == "1/2"
         assert format_scalar(Fraction(-3, 6)) == "-1/2"
         assert format_scalar(7) == "7"
+        assert format_scalar(Fraction(6, 3)) == "2"
 
 
 class TestBrick:
