@@ -14,12 +14,14 @@ from three interval overlaps, the oriented-box reduction of Gottschalk, Lin
 Each brick's slabs come from its frame: one per pair of frame directions,
 with that pair's cross product as normal. A pair of another kind is
 disjoint if one brick lies beyond a slab of the other (its extent along the
-slab's normal ends below the slab or starts above it). Else each brick's
-edges are clipped to the other's slabs, with t-bounds kept as integer-style
-numerator/denominator pairs compared by cross-multiplying, giving exactly
-the vertices of a ∩ b (none iff disjoint); the contact kind follows from
-their affine dimension. Bounding boxes are tested only by the sweep in
-``complexes.validate``, which classifies no pair whose boxes are apart.
+slab's normal ends below the slab or starts above it). A brick keeps its
+extents per frame, so it is projected onto each frame once, however many
+bricks of that frame it meets. Else each brick's edges are clipped to the
+other's slabs, with t-bounds kept as integer-style numerator/denominator
+pairs compared by cross-multiplying, giving exactly the vertices of a ∩ b
+(none iff disjoint); the contact kind follows from their affine dimension.
+Bounding boxes are tested only by the sweep in ``complexes.validate``,
+which classifies no pair whose boxes are apart.
 """
 
 from __future__ import annotations
@@ -318,6 +320,11 @@ class Brick:
             slots.append((n, base + min(rate, 0), base + max(rate, 0), j, rate < 0))
         return key, tuple(slots)
 
+    @cached_property
+    def _along(self) -> dict:
+        """Frame key -> this brick's extents, filled by _slab_coordinates."""
+        return {}
+
 
 def brick_from_box(min_corner, max_corner, id: str) -> Brick:
     """Axis-aligned brick spanning [min, max]; extents must be positive."""
@@ -378,20 +385,29 @@ DISJOINT = Contact(ContactKind.DISJOINT)
 
 
 def _slab_coordinates(x: Brick, y: Brick):
-    """x in y's slab coordinates, from 12 dot products: per slab of y's
-    frame, (lo, hi, n.p at x's 8 vertices in vertex-code order, n.g for x's
-    3 generators). None if x lies beyond a slab, all its values below lo or
-    all above hi: x is then in an open half-space that misses y.
+    """x in y's slab coordinates: per slab of y's frame, (lo, hi, n.p at x's
+    8 vertices in vertex-code order, n.g for x's 3 generators). None if x
+    lies beyond a slab, all its values below lo or all above hi: x is then
+    in an open half-space that misses y. x keeps its extents per frame: the
+    first brick of y's frame fills x._along[key], per normal (min, max,
+    values, rates) from 12 dot products; later ones only compare min, max.
     """
-    o, gens = x.origin, x.generators
+    key, slots = y._frame
+    along = x._along.get(key)
+    if along is None:
+        o, gens = x.origin, x.generators
+        along = []
+        for n, _, _, _, _ in slots:
+            base = n.dot(o)
+            ru, rv, rw = rates = (n.dot(gens[0]), n.dot(gens[1]), n.dot(gens[2]))
+            side = [base, base + rw]
+            side += [s + rv for s in side]
+            side += [s + ru for s in side]
+            along.append((min(side), max(side), tuple(side), rates))
+        along = x._along[key] = tuple(along)
     out = []
-    for n, lo, hi, _, _ in y._frame[1]:
-        base = n.dot(o)
-        ru, rv, rw = rates = (n.dot(gens[0]), n.dot(gens[1]), n.dot(gens[2]))
-        side = [base, base + rw]
-        side += [s + rv for s in side]
-        side += [s + ru for s in side]
-        if max(side) < lo or min(side) > hi:
+    for (_, lo, hi, _, _), (least, most, side, rates) in zip(slots, along):
+        if most < lo or least > hi:
             return None
         out.append((lo, hi, side, rates))
     return out

@@ -84,9 +84,10 @@ def split_many(b: Brick, direction: int, fractions) -> tuple[Brick, ...]:
     if any(not 0 < f < 1 for f in fs) or any(
         fs[i] >= fs[i + 1] for i in range(len(fs) - 1)
     ):
-        listed = ", ".join(map(format_scalar, fs))
-        raise RefinementError(f"brick {_quoted(b.id)}: fractions {listed} must be "
-                              "strictly increasing within (0, 1)")
+        listed = ", ".join(map(format_scalar, fs[:3]))
+        more = f" and {len(fs) - 3} more" if len(fs) > 3 else ""
+        raise RefinementError(f"brick {_quoted(b.id)}: fractions {listed}{more} must "
+                              "be strictly increasing within (0, 1)")
     cuts = [fs if k == direction else () for k in range(3)]
     return _grid(b, cuts, lambda cell: f"s{cell[direction]}")
 

@@ -389,6 +389,22 @@ def test_many_unknown_labels_give_one_short_error_line(capsys, tmp_path):
     )
 
 
+def test_many_split_fractions_give_one_short_error_line(capsys, tmp_path):
+    good = tmp_path / "good.bricks"
+    good.write_text(CUBE_LINE)
+    schedule = tmp_path / "many.schedule"
+    schedule.write_text("a split 0 " + ",".join(["1/2"] * 1000) + "\n")
+    code, out, err = run(capsys, "refine", str(good), "--schedule", str(schedule))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert len(line.encode()) < 200
+    assert line == (
+        "error: brick 'a': fractions 1/2, 1/2, 1/2 and 997 more must be "
+        "strictly increasing within (0, 1)"
+    )
+
+
 @pytest.mark.parametrize(
     "name", [LONG, "random-" + "7" * 5000], ids=["unknown-fixture", "random-seed"]
 )

@@ -13,6 +13,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bricks.complexes import BrickComplex, validate
+from bricks.constructions import zz_embedded
+from bricks.fileformats import emit_complex, parse_complex
 from bricks.geometry import (
     DISJOINT,
     Brick,
@@ -30,6 +33,7 @@ from bricks.geometry import (
     scalar,
     vec3,
 )
+from bricks.refinement import apply_schedule, standard_zz_schedule
 
 
 def box(lo, hi, label="b"):
@@ -590,3 +594,46 @@ def test_coframed_intervals_match_clip(pair):
     assert a._frame[0] == b._frame[0]
     for x, y in ((a, b), (b, a)):
         assert typed(classify_contact(x, y)) == typed(clip_contact(x, y))
+
+
+def fresh(brick: Brick) -> Brick:
+    """An equal brick with nothing cached."""
+    return Brick(brick.id, brick.origin, brick.u, brick.v, brick.w)
+
+
+# Bricks of the unimodular frame, given by their frame coordinates, met in
+# turn by one axis-aligned brick: apart, touching and overlapping it
+MEMO_PARTNERS = {
+    ContactKind.DISJOINT: [((2, 0, HALF), (3, 1, 3 * HALF)),
+                           ((Fraction(7, 3), 0, 0), (3, 1, 1)),
+                           ((0, 0, -1), (1, 1, -HALF))],
+    ContactKind.POINT: [((1, 0, 1), (2, 1, 2)), ((HALF, HALF, 1), (1, 1, 2))],
+    ContactKind.PARTIAL_EDGE: [((2, -1, HALF), (3, 0, 3 * HALF))],
+    ContactKind.PARTIAL_FACE: [((1, -1, 0), (2, 0, HALF))],
+    ContactKind.VOLUME_OVERLAP: [((HALF, 0, 0), (3 * HALF, 1, 1))],
+}
+
+
+def test_one_brick_meets_many_of_another_frame():
+    """A brick keeps its extents along each frame it meets; classifying it in
+    turn against bricks of one other frame gives what fresh copies give."""
+    a = Brick("a", vec3(0, 0, HALF), vec3(2, 0, 0), vec3(0, 2, 0), vec3(0, 0, 2))
+    partners = [(kind, framed("b", FRAMES["unimodular"], lo, hi))
+                for kind, boxes in MEMO_PARTNERS.items() for lo, hi in boxes]
+    for kind, b in partners:
+        for x, y in ((a, b), (b, a)):
+            contact = classify_contact(x, y)
+            assert contact == classify_contact(fresh(x), fresh(y))
+            assert contact.kind is kind
+            assert _intersection_vertices(x, y) == triple_enumeration_vertices(x, y)
+    assert list(a._along) == [partners[0][1]._frame[0]]
+
+
+def test_validate_with_shared_bricks_matches_a_fresh_parse():
+    """Two complexes share Brick objects, so the second validate starts with
+    the extents the first one kept; it must equal a validate from scratch."""
+    c = zz_embedded()
+    bricks = tuple(map(fresh, apply_schedule(c, standard_zz_schedule(c)).bricks))
+    assert validate(BrickComplex(bricks[:36])).contacts
+    report = validate(BrickComplex(bricks))
+    assert report == validate(parse_complex(emit_complex(BrickComplex(bricks))))
