@@ -22,6 +22,11 @@ pairs compared by cross-multiplying, giving exactly the vertices of a ∩ b
 (none iff disjoint); the contact kind follows from their affine dimension.
 Bounding boxes are tested only by the sweep in ``complexes.validate``,
 which classifies no pair whose boxes are apart.
+
+Bricks with equal generators share one cached shape: the frame, the slab
+rates, the AABB and vertex offsets and det, so a brick's own values are its
+origin plus the shape's. The cache is a thread-safe ``functools.lru_cache``
+of at most 1024 generator triples, and it holds immutable values only.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
@@ -245,22 +250,12 @@ class Brick:
 
     @cached_property
     def det(self) -> Scalar:
-        return det3(self.u, self.v, self.w)
+        return _shape(self.u, self.v, self.w)[4]
 
     @cached_property
     def vertices(self) -> tuple[Point3, ...]:
-        o, (u, v, w) = self.origin, self.generators
-        out = []
-        for a, b, c in VERTEX_COEFFS:
-            p = o
-            if a:
-                p = p + u
-            if b:
-                p = p + v
-            if c:
-                p = p + w
-            out.append(p)
-        return tuple(out)
+        o = self.origin
+        return tuple(o + off for off in _shape(self.u, self.v, self.w)[3])
 
     @cached_property
     def edge_index(self) -> dict[tuple[Point3, Point3], int]:
@@ -281,10 +276,9 @@ class Brick:
 
     @cached_property
     def aabb(self) -> tuple[tuple[Scalar, Scalar], ...]:
-        vs = self.vertices
-        return tuple(
-            (min(p[i] for p in vs), max(p[i] for p in vs)) for i in range(3)
-        )
+        ends = _shape(self.u, self.v, self.w)[2]
+        return tuple((_norm_s(c + lo), _norm_s(c + hi))
+                     for c, (lo, hi) in zip(self.origin, ends))
 
     @cached_property
     def box(self) -> Optional[tuple[tuple[Scalar, Scalar], ...]]:
@@ -300,30 +294,52 @@ class Brick:
 
     @cached_property
     def _frame(self):
-        """(key, slots). The key is the frame D: the generator directions as
-        primitive integer vectors, first non-zero entry positive, sorted.
-        Slot k is (n, lo, hi, j, n.g_j < 0) for n = D[k+1] x D[k+2]: the
-        brick is the points p with lo <= n.p <= hi in all three slots, and
-        generator j is the one parallel to D[k]."""
-        dirs = []
-        for g in self.generators:
-            m = lcm(*(c.denominator for c in g))
-            ints = [c.numerator * (m // c.denominator) for c in g]
-            q = gcd(*ints) * (1 if next(c for c in ints if c) > 0 else -1)
-            dirs.append(Vec3(*(c // q for c in ints)))
-        key = tuple(sorted(dirs))
-        slots = []
-        for k in range(3):
-            n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
-            j = dirs.index(key[k])
-            base, rate = n.dot(self.origin), n.dot(self.generators[j])
-            slots.append((n, base + min(rate, 0), base + max(rate, 0), j, rate < 0))
-        return key, tuple(slots)
+        """(key, slots) of _shape, each slot's rate bounds moved to this
+        brick's origin: the brick is the points p with lo <= n.p <= hi in
+        all three slots (n, lo, hi, j, flip)."""
+        key, slots = _shape(self.u, self.v, self.w)[:2]
+        out = []
+        for n, lo, hi, j, flip in slots:
+            base = n.dot(self.origin)
+            out.append((n, _norm_s(base + lo), _norm_s(base + hi), j, flip))
+        return key, tuple(out)
 
     @cached_property
     def _along(self) -> dict:
         """Frame key -> this brick's extents, filled by _slab_coordinates."""
         return {}
+
+
+@lru_cache(maxsize=1024)
+def _shape(u: Vec3, v: Vec3, w: Vec3):
+    """What a brick owes to its generators alone, computed once per triple:
+    (key, slots, box, offsets, det). The key is the frame D: the generator
+    directions as primitive integer vectors, first non-zero entry positive,
+    sorted. Slot k is (n, min(r, 0), max(r, 0), j, r < 0) for
+    n = D[k+1] x D[k+2], generator j the one parallel to D[k] and r = n.g_j.
+    box holds per axis the sums of the generators' negative and positive
+    components, offsets the 8 vertices less the origin in vertex-code order.
+    Equal triples share an entry (2 == Fraction(2, 1)), so what a brick
+    reads from it is normalized, an integral value an int: then it does not
+    depend on which triple filled the entry."""
+    gens = (u, v, w)
+    dirs = []
+    for g in gens:
+        m = lcm(*(c.denominator for c in g))
+        ints = [c.numerator * (m // c.denominator) for c in g]
+        q = gcd(*ints) * (1 if next(c for c in ints if c) > 0 else -1)
+        dirs.append(Vec3(*(c // q for c in ints)))
+    key = tuple(sorted(dirs))
+    slots = []
+    for k in range(3):
+        n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
+        j = dirs.index(key[k])
+        rate = n.dot(gens[j])
+        slots.append((n, min(rate, 0), max(rate, 0), j, rate < 0))
+    box = tuple((sum(c for c in cs if c < 0), sum(c for c in cs if c > 0))
+                for cs in zip(u, v, w))
+    offsets = tuple(u.scale(a) + v.scale(b) + w.scale(c) for a, b, c in VERTEX_COEFFS)
+    return key, tuple(slots), box, offsets, _norm_s(det3(u, v, w))
 
 
 def brick_from_box(min_corner, max_corner, id: str) -> Brick:

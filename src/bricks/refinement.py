@@ -84,7 +84,8 @@ def split_many(b: Brick, direction: int, fractions) -> tuple[Brick, ...]:
     if any(not 0 < f < 1 for f in fs) or any(
         fs[i] >= fs[i + 1] for i in range(len(fs) - 1)
     ):
-        listed = ", ".join(map(format_scalar, fs[:3]))
+        listed = ", ".join(t if len(t) <= 40 else _quoted(t)
+                           for t in map(format_scalar, fs[:3]))
         more = f" and {len(fs) - 3} more" if len(fs) > 3 else ""
         raise RefinementError(f"brick {_quoted(b.id)}: fractions {listed}{more} must "
                               "be strictly increasing within (0, 1)")

@@ -405,6 +405,24 @@ def test_many_split_fractions_give_one_short_error_line(capsys, tmp_path):
     )
 
 
+def test_long_split_fractions_give_one_short_error_line(capsys, tmp_path):
+    good = tmp_path / "good.bricks"
+    good.write_text(CUBE_LINE)
+    schedule = tmp_path / "long.schedule"
+    fraction = "1/" + "9" * 4000
+    schedule.write_text(f"a split 0 {fraction},{fraction}\n")
+    code, out, err = run(capsys, "refine", str(good), "--schedule", str(schedule))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert len(line.encode()) < 200
+    quoted = f"{fraction[:20]!r}... (4002 characters)"
+    assert line == (
+        f"error: brick 'a': fractions {quoted}, {quoted} must be "
+        "strictly increasing within (0, 1)"
+    )
+
+
 @pytest.mark.parametrize(
     "name", [LONG, "random-" + "7" * 5000], ids=["unknown-fixture", "random-seed"]
 )

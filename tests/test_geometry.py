@@ -7,7 +7,7 @@ over all triples of defining planes for skew pairs.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,6 +25,7 @@ from bricks.geometry import (
     _affine_dim,
     _classify_from_vertices,
     _intersection_vertices,
+    _shape,
     _slab_coordinates,
     brick_from_box,
     classify_contact,
@@ -637,3 +638,104 @@ def test_validate_with_shared_bricks_matches_a_fresh_parse():
     assert validate(BrickComplex(bricks[:36])).contacts
     report = validate(BrickComplex(bricks))
     assert report == validate(parse_complex(emit_complex(BrickComplex(bricks))))
+
+
+# --- the shape cache --------------------------------------------------------
+#
+# Bricks with equal generators share one cached shape, and 2 == Fraction(2, 1)
+# makes triples with integral Fractions equal to their int twins; whichever
+# twin fills the entry, each brick must read what these formulas give.
+
+
+def exact(q):
+    """q as Vec3 arithmetic gives it: an int when integral."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
+def primitive(g: Vec3) -> Vec3:
+    m = lcm(*(Fraction(c).denominator for c in g))
+    ints = [int(c * m) for c in g]
+    q = gcd(*ints) if next(c for c in ints if c) > 0 else -gcd(*ints)
+    return Vec3(*(c // q for c in ints))
+
+
+def direct_geometry(b: Brick):
+    """(det, _frame, aabb, vertices) of b from their definitions."""
+    vertices = tuple(
+        Vec3(*(exact(o + x * du + y * dv + z * dw)
+               for o, du, dv, dw in zip(b.origin, b.u, b.v, b.w)))
+        for x, y, z in product((0, 1), repeat=3))
+    aabb = tuple((min(p[i] for p in vertices), max(p[i] for p in vertices))
+                 for i in range(3))
+    dirs = [primitive(g) for g in b.generators]
+    key = tuple(sorted(dirs))
+    slots = []
+    for k in range(3):
+        n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
+        j = dirs.index(key[k])
+        heights = [exact(n.dot(p)) for p in vertices]
+        slots.append((n, min(heights), max(heights), j, n.dot(b.generators[j]) < 0))
+    return exact(det3(*b.generators)), (key, tuple(slots)), aabb, vertices
+
+
+def with_types(value):
+    """value with each scalar paired with its type."""
+    if type(value) in (int, Fraction):
+        return (type(value), value)
+    if isinstance(value, tuple):
+        return tuple(map(with_types, value))
+    return value
+
+
+def twin(g: Vec3) -> Vec3:
+    """g with each integral component's type swapped between int and Fraction."""
+    return Vec3(*(c if Fraction(c).denominator != 1
+                  else Fraction(c) if type(c) is int else c.numerator for c in g))
+
+
+COMPONENTS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.sampled_from([Fraction(2, 1), Fraction(-1, 1), Fraction(0, 1)]),
+)
+VECTORS = st.builds(Vec3, COMPONENTS, COMPONENTS, COMPONENTS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(VECTORS, VECTORS, VECTORS, VECTORS, VECTORS, st.booleans())
+@example(Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(0, 0, 1), Vec3(0, 1, 0),
+         Vec3(Fraction(2, 1), 0, 0), False)
+@example(Vec3(0, 0, 0), Vec3(Fraction(2, 1), 0, 0), Vec3(0, Fraction(2, 1), 1),
+         Vec3(0, 0, 2), Vec3(Fraction(1, 2), 0, -1), True)
+def test_shared_shape_matches_direct_formulas(u, v, w, o1, o2, twin_first):
+    """Two bricks of equal generators, one with each integral component's
+    type swapped, built in either order on an empty cache: det, _frame, aabb
+    and vertices equal their direct formulas in value and type. The triple
+    may have det < 0, which construction turns into v, w swapped."""
+    assume(det3(u, v, w) != 0)
+    _shape.cache_clear()
+    triples = [(u, v, w), tuple(map(twin, (u, v, w)))]
+    if twin_first:
+        triples.reverse()
+    bricks = [Brick("a", o1, *triples[0]), Brick("b", o2, *triples[1])]
+    assert _shape.cache_info().currsize == 0
+    for b in bricks:
+        assert b.det > 0
+        got = (b.det, b._frame, b.aabb, b.vertices)
+        assert with_types(got) == with_types(direct_geometry(b))
+    assert _shape.cache_info().currsize == 1
+
+
+def test_shape_cache_stays_bounded():
+    """More distinct generator triples than the cache holds keep it at its
+    bound; bricks whose shapes were evicted validate as a fresh parse."""
+    bound = _shape.cache_info().maxsize
+    bricks = tuple(
+        Brick(f"s{i}", vec3(i, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0),
+              vec3(0, i, 1))
+        for i in range(bound + 100))
+    complex = BrickComplex(bricks)
+    report = validate(complex)
+    assert _shape.cache_info().currsize <= bound
+    assert len(report.contacts) == len(bricks) - 1
+    assert report == validate(parse_complex(emit_complex(complex)))
