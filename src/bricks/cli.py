@@ -9,6 +9,7 @@ exit-code contract: 0 success / properly joined, 1 semantic failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -67,8 +68,11 @@ def _emit(document: dict, summary: str) -> None:
 
 def _write_output(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -294,11 +298,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # by name, so a wrapper installed on this module after the parser
+        # was built still sees the command
+        return globals()[args.func.__name__](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

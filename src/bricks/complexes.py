@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .geometry import Brick, Contact, ContactKind, _quoted, classify_contact
+from .geometry import (
+    Brick,
+    Contact,
+    ContactKind,
+    _quoted,
+    _skew_memo_scope,
+    classify_contact,
+)
 
 
 class ComplexError(ValueError):
@@ -70,18 +77,20 @@ class BrickComplex:
     @cached_property
     def _report(self) -> ValidationReport:
         # validate()'s memo. classify_contact is looked up in this module on
-        # each call, so a wrapper installed there sees every pair.
+        # each call, so a wrapper installed there sees every pair; inside the
+        # scope it classifies each skew pair once up to translation.
         records = []
         bricks = self.bricks
-        for i, j in _aabb_meeting_pairs(bricks):
-            contact = classify_contact(bricks[i], bricks[j])
-            if contact.kind is ContactKind.DISJOINT:
-                continue
-            a, b = bricks[i].id, bricks[j].id
-            if a > b:
-                a, b = b, a
-                contact = contact.mirrored()
-            records.append(PairContact(a, b, contact))
+        with _skew_memo_scope():
+            for i, j in _aabb_meeting_pairs(bricks):
+                contact = classify_contact(bricks[i], bricks[j])
+                if contact.kind is ContactKind.DISJOINT:
+                    continue
+                a, b = bricks[i].id, bricks[j].id
+                if a > b:
+                    a, b = b, a
+                    contact = contact.mirrored()
+                records.append(PairContact(a, b, contact))
         records.sort(key=lambda pc: (pc.a, pc.b))
         return ValidationReport(bricks, tuple(records))
 
@@ -158,8 +167,11 @@ def validate(complex: BrickComplex) -> ValidationReport:
     Pairs whose closed AABBs are disjoint are skipped unclassified: a ∩ b
     lies inside the intersection of the two AABBs, so each such pair is
     DISJOINT, and the report equals a classification of all n(n-1)/2 pairs.
-    The report goes with this complex: a consumer given it with a complex of
-    other bricks raises StaleReportError.
+    Each pass keeps its own memo of skew contacts by translation, so a skew
+    pair that repeats an earlier one up to translation is not clipped again;
+    the memo is per pass and per thread or context, and is dropped when the
+    pass ends. The report goes with this complex: a consumer given it with a
+    complex of other bricks raises StaleReportError.
     """
     return complex._report
 

@@ -27,11 +27,21 @@ Bricks with equal generators share one cached shape: the frame, the slab
 rates, the AABB and vertex offsets and det, so a brick's own values are its
 origin plus the shape's. The cache is a thread-safe ``functools.lru_cache``
 of at most 1024 generator triples, and it holds immutable values only.
+
+Within one ``complexes.validate`` pass, skew contacts are memoized by
+translation. Moving both bricks by t keeps the kind and the face indices and
+moves each contact point by t (sorted points stay sorted), so a skew pair is
+keyed by both generator triples and the offset between the origins, and a
+repeat of a key is answered from its first pair, the points moved. The memo
+is a ``contextvars.ContextVar`` that the pass sets and resets: one memo per
+pass and per thread or context, nothing shared, and none outside a pass.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -554,14 +564,51 @@ def _coframed_contact(a: Brick, b: Brick) -> Contact:
     return Contact(ContactKind.POINT, points=(vs[code],))
 
 
+def _skew_contact(a: Brick, b: Brick) -> Contact:
+    verts = _intersection_vertices(a, b)
+    return _classify_from_vertices(a, b, _affine_dim(verts), verts)
+
+
+# (a.u, a.v, a.w, b.u, b.v, b.w, b.origin - a.origin) -> (a.origin, contact)
+# of the first skew pair of that key in the current validate pass; None
+# outside a pass
+_skew_memo: ContextVar[Optional[dict]] = ContextVar("_skew_memo", default=None)
+
+
+@contextmanager
+def _skew_memo_scope():
+    """Memoize skew contacts by translation until the block exits."""
+    token = _skew_memo.set({})
+    try:
+        yield
+    finally:
+        _skew_memo.reset(token)
+
+
 def classify_contact(a: Brick, b: Brick) -> Contact:
     """Classify a ∩ b per the proper-joining taxonomy.
 
     Total on valid bricks; symmetric up to mirrored face indices. Exact: a
     co-framed pair is decided from its frame intervals, any other pair from
-    the vertices of a ∩ b that the edge clip finds.
+    the vertices of a ∩ b that the edge clip finds. Inside a validate pass a
+    skew pair that repeats an earlier one up to translation is answered from
+    the pass's memo, its contact points moved; outside a pass, and for
+    co-framed pairs, every call classifies afresh.
     """
     if a._frame[0] == b._frame[0]:
         return _coframed_contact(a, b)
-    verts = _intersection_vertices(a, b)
-    return _classify_from_vertices(a, b, _affine_dim(verts), verts)
+    memo = _skew_memo.get()
+    if memo is None:
+        return _skew_contact(a, b)
+    key = (a.u, a.v, a.w, b.u, b.v, b.w, b.origin - a.origin)
+    hit = memo.get(key)
+    if hit is None:
+        contact = _skew_contact(a, b)
+        memo[key] = a.origin, contact
+        return contact
+    origin, contact = hit
+    if not contact.points:
+        return contact
+    t = a.origin - origin
+    return Contact(contact.kind, tuple(p + t for p in contact.points),
+                   contact.face_a, contact.face_b)

@@ -484,3 +484,49 @@ def test_scalar_option_outside_the_grammar_exits_two(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert "error: " in err and "'1e3'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "zz-embedded"],
+        ["refine", "{cube}", "--standard-zz"],
+        ["export-obj", "{cube}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_exits_two(capsys, tmp_path, argv):
+    cube = tmp_path / "cube.bricks"
+    cube.write_text("brick a 0 0 0 1 0 0 0 1 0 0 0 1\n")
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *(a.format(cube=cube) for a in argv),
+                         "-o", str(target))
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: cannot write {target}: ")
+    assert "No such file or directory" in line
+
+
+def test_consecutive_calls_start_from_fresh_options(capsys, tmp_path):
+    """main builds its parser once; an option given to one call is not seen
+    by the next."""
+    path = tmp_path / "ring.bricks"
+    run(capsys, "build", "ring-3x3", "-o", str(path))
+    code, doc, _ = run_json(capsys, "genus", str(path), "--oracle")
+    assert code == 0 and doc["oracle_agrees"] is True
+    code, doc, _ = run_json(capsys, "genus", str(path))
+    assert code == 0 and doc["genus"] == 1
+    assert "oracle_chi" not in doc and "oracle_agrees" not in doc
+
+
+def test_call_after_a_usage_error_succeeds(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["genus"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: input" in capsys.readouterr().err
+    path = tmp_path / "cube.bricks"
+    code, _, err = run(capsys, "build", "cube", "-o", str(path))
+    assert code == 0 and err == "cube: 1 bricks\n"
+    code, doc, _ = run_json(capsys, "genus", str(path))
+    assert code == 0 and doc["chi"] == 2
