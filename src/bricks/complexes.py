@@ -1,12 +1,14 @@
 """Brick complexes, proper-joining validation, and the brick graph.
 
-A complex is a finite labeled list of bricks. Validation classifies every
-pair exactly; a pair whose closed axis-aligned bounding boxes (AABBs) are
-disjoint cannot meet, and is skipped unclassified. The report is computed
-once per complex and kept on it; a consumer given it with a complex of other
-bricks raises StaleReportError. The brick graph has a node per brick and an
-arc per pair sharing a single whole face of each. A corner is a node of
-degree three or less.
+A complex is a finite labeled list of bricks. Validation classifies pairs
+exactly, and skips unclassified only pairs that cannot meet: a pair whose
+closed axis-aligned bounding boxes (AABBs) are disjoint and, in a complex
+that apply_schedule refined, a pair of children of two disjoint parents or
+with a child that misses its parents' contact (sibling pairs are swept).
+The report is computed once per complex and kept on it; a consumer given it
+with a complex of other bricks raises StaleReportError. The brick graph has
+a node per brick and an arc per pair sharing a single whole face of each. A
+corner is a node of degree three or less.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .geometry import (
     Brick,
@@ -40,6 +42,12 @@ class BrickComplex:
 
     bricks: tuple[Brick, ...]
     name: str = ""
+    # set by apply_schedule: (the input's report, each input brick's range of
+    # child indices, in the order of the report's bricks). It is no __init__
+    # argument, so a dataclasses.replace copy, which may hold other bricks,
+    # has none.
+    _lineage: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         # The name and the labels are written to brick files as single
@@ -76,23 +84,13 @@ class BrickComplex:
 
     @cached_property
     def _report(self) -> ValidationReport:
-        # validate()'s memo. classify_contact is looked up in this module on
-        # each call, so a wrapper installed there sees every pair; inside the
-        # scope it classifies each skew pair once up to translation.
-        records = []
+        # validate()'s memo
         bricks = self.bricks
-        with _skew_memo_scope():
-            for i, j in _aabb_meeting_pairs(bricks):
-                contact = classify_contact(bricks[i], bricks[j])
-                if contact.kind is ContactKind.DISJOINT:
-                    continue
-                a, b = bricks[i].id, bricks[j].id
-                if a > b:
-                    a, b = b, a
-                    contact = contact.mirrored()
-                records.append(PairContact(a, b, contact))
-        records.sort(key=lambda pc: (pc.a, pc.b))
-        return ValidationReport(bricks, tuple(records))
+        if self._lineage is None:
+            pairs = _aabb_meeting_pairs(bricks)
+        else:
+            pairs = _lineage_pairs(bricks, *self._lineage)
+        return _classified(bricks, pairs)
 
 
 def _one_token(label: str) -> bool:
@@ -123,7 +121,7 @@ class ValidationReport:
     bricks: tuple[Brick, ...] = field(repr=False, compare=False)
     contacts: tuple[PairContact, ...]
 
-    @property
+    @cached_property
     def improper_pairs(self) -> tuple[PairContact, ...]:
         return tuple(pc for pc in self.contacts if pc.contact.improper)
 
@@ -161,12 +159,89 @@ def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
         active.append(j)
 
 
+def _lineage_pairs(bricks: tuple[Brick, ...], report: ValidationReport, spans):
+    """Yield (i, j), i < j, for every pair of children that can meet, given
+    the report of their parents and each parent's range of child indices.
+
+    Each child lies inside its parent, so for c a child of P and d one of Q,
+    c ∩ d lies in c ∩ (P ∩ Q). Siblings are swept. Children of P and Q are
+    paired only if P and Q are a contact of the report and, unless it is
+    improper, only those that meet the bounding box of P ∩ Q in their
+    parent's frame coordinates. A child's generators are positive multiples
+    of its parent's, so it has its parent's frame, and that test is three
+    closed interval overlaps. Every other pair is DISJOINT.
+    """
+    for r in spans:
+        for i, j in _aabb_meeting_pairs(bricks[r.start:r.stop]):
+            yield r.start + i, r.start + j
+    # each brick's frame intervals, flat: lo0, hi0, lo1, hi1, lo2, hi2
+    extents = [[v for _, lo, hi, _, _ in b._frame[1] for v in (lo, hi)]
+               for b in bricks]
+    parents = {p.id: (p, r) for p, r in zip(report.bricks, spans)}
+    for pc in report.contacts:
+        (p, near_p), (q, near_q) = parents[pc.a], parents[pc.b]
+        contact = pc.contact
+        if not contact.improper:
+            if contact.kind is ContactKind.WHOLE_FACE:
+                at_p = p.face_polygon(contact.face_a)[::2]
+                at_q = q.face_polygon(contact.face_b)[::2]
+            else:
+                at_p = at_q = contact.points
+            near_p = _meeting(extents, near_p, p, at_p)
+            near_q = _meeting(extents, near_q, q, at_q)
+        for i in near_p:
+            for j in near_q:
+                yield (i, j) if i < j else (j, i)
+
+
+def _meeting(extents, children, parent: Brick, ends) -> list[int]:
+    """The children whose frame intervals meet the box that ends spans in
+    their parent's frame coordinates. ends are a point, the two ends of an
+    edge of the parent, or two opposite corners of a face of it: a normal of
+    the parent's frame is orthogonal to two of its generators, so along it
+    the element takes its extremes at those ends."""
+    (a0, b0), (a1, b1), (a2, b2) = [
+        (min(ds), max(ds))
+        for ds in ([n.dot(x) for x in ends] for n, *_ in parent._frame[1])]
+    near = []
+    for k in children:
+        l0, h0, l1, h1, l2, h2 = extents[k]
+        if l0 <= b0 and a0 <= h0 and l1 <= b1 and a1 <= h1 and l2 <= b2 and a2 <= h2:
+            near.append(k)
+    return near
+
+
+def _classified(bricks: tuple[Brick, ...], pairs) -> ValidationReport:
+    """The report of bricks, classifying the pairs (i, j) yields, each pair
+    once; a pair not yielded must be DISJOINT."""
+    # classify_contact is looked up in this module on each call, so a wrapper
+    # installed there sees every pair; inside the scope it classifies each
+    # skew pair once up to translation.
+    records = []
+    with _skew_memo_scope():
+        for i, j in pairs:
+            contact = classify_contact(bricks[i], bricks[j])
+            if contact.kind is ContactKind.DISJOINT:
+                continue
+            a, b = bricks[i].id, bricks[j].id
+            if a > b:
+                a, b = b, a
+                contact = contact.mirrored()
+            records.append(PairContact(a, b, contact))
+    records.sort(key=lambda pc: (pc.a, pc.b))
+    return ValidationReport(bricks, tuple(records))
+
+
 def validate(complex: BrickComplex) -> ValidationReport:
     """The complex's validation report, computed once and kept on it.
 
     Pairs whose closed AABBs are disjoint are skipped unclassified: a ∩ b
     lies inside the intersection of the two AABBs, so each such pair is
     DISJOINT, and the report equals a classification of all n(n-1)/2 pairs.
+    A complex that apply_schedule refined classifies fewer: sibling pairs
+    whose AABBs meet, and pairs of children of two touching parents in which
+    each child meets the parents' contact; every other pair of children is
+    DISJOINT because each child lies inside its parent.
     Each pass keeps its own memo of skew contacts by translation, so a skew
     pair that repeats an earlier one up to translation is not clipped again;
     the memo is per pass and per thread or context, and is dropped when the

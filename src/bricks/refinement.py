@@ -78,6 +78,7 @@ def split_many(b: Brick, direction: int, fractions) -> tuple[Brick, ...]:
 
     Adjacent slabs share a whole face of each, so they are properly joined.
     """
+    _check_direction(b, "split", direction)
     fs = list(fractions)
     if not fs:
         return (b,)
@@ -91,6 +92,13 @@ def split_many(b: Brick, direction: int, fractions) -> tuple[Brick, ...]:
                               "be strictly increasing within (0, 1)")
     cuts = [fs if k == direction else () for k in range(3)]
     return _grid(b, cuts, lambda cell: f"s{cell[direction]}")
+
+
+def _check_direction(b: Brick, op: str, direction) -> None:
+    # an exact int: True would pass for 1, and -1 would index from the end
+    if type(direction) is not int or direction not in (0, 1, 2):
+        raise RefinementError(
+            f"brick {_quoted(b.id)}: {op} direction must be 0, 1 or 2")
 
 
 def octasect(b: Brick) -> tuple[Brick, ...]:
@@ -122,6 +130,7 @@ def quarter_lengthwise(b: Brick, long_dir: int | None = None) -> tuple[Brick, ..
     two end faces are partitioned into quarters.
     """
     long_idx = long_direction(b) if long_dir is None else long_dir
+    _check_direction(b, "quarter", long_idx)
     c0, c1 = (k for k in range(3) if k != long_idx)
     cuts = [() if k == long_idx else (HALF,) for k in range(3)]
     return _grid(b, cuts, lambda cell: f"q{2 * cell[c0] + cell[c1]}")
@@ -143,22 +152,30 @@ def apply_schedule(complex: BrickComplex, schedule: RefinementSchedule) -> Brick
     """Replace each scheduled brick by its children (unlisted bricks Keep).
 
     Exact postconditions, checked: total volume is conserved, and a
-    properly joined input yields a properly joined output.
+    properly joined input yields a properly joined output. The output keeps
+    the input's report and each input brick's range of children, so that
+    validating it (here, or later for an improper input) classifies only
+    sibling pairs and the children of touching parents that meet the
+    parents' contact: every other pair of children is disjoint.
     """
     unknown = set(schedule) - set(complex.labels)
     if unknown:
         listed = ", ".join(map(_quoted, sorted(unknown)[:3]))
         more = f" and {len(unknown) - 3} more" if len(unknown) > 3 else ""
         raise RefinementError(f"schedule references unknown labels [{listed}]{more}")
-    out = []
+    out, spans = [], []
     for b in complex.bricks:
+        start = len(out)
         out.extend(expand(b, schedule.get(b.id, Keep())))
+        spans.append(range(start, len(out)))
     refined = BrickComplex(tuple(out), name=complex.name)
+    report = validate(complex)
+    object.__setattr__(refined, "_lineage", (report, tuple(spans)))
     before = sum(b.det for b in complex.bricks)
     after = sum(b.det for b in refined.bricks)
     if before != after:
         raise RefinementError(f"volume not conserved: {before} -> {after}")
-    if validate(complex).properly_joined:
+    if report.properly_joined:
         bad = validate(refined).improper_pairs
         if bad:
             pc = bad[0]

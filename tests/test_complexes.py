@@ -100,6 +100,15 @@ def test_zz_immersed_improper_with_volume_overlap():
     )
 
 
+def test_improper_pairs_are_computed_once_and_stay_out_of_equality_and_repr():
+    r = validate(zz_immersed())
+    copy = ValidationReport(r.bricks, r.contacts)
+    text = repr(copy)
+    assert r.improper_pairs is r.improper_pairs
+    assert r == copy and repr(r) == text
+    assert copy.improper_pairs == r.improper_pairs and repr(copy) == text
+
+
 def test_single_brick_graph():
     c = fixture("cube")
     g = brick_graph(c, validate(c))

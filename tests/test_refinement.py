@@ -11,6 +11,7 @@ from bricks.constructions import fixture, zz_immersed
 from bricks.geometry import Brick, ContactKind, brick_from_box, classify_contact, vec3
 from bricks.refinement import (
     Octasect,
+    QuarterLengthwise,
     RefinementError,
     SplitAt,
     apply_schedule,
@@ -177,6 +178,34 @@ class TestApplySchedule:
         assert sum(b.det for b in refined.bricks) == sum(
             b.det for b in c.bricks
         )
+
+
+# -1 would index from the end, 7 and 5 past it; True would pass for 1
+BAD_DIRECTIONS = [-1, 3, 7, True, 1.0, "1"]
+
+
+class TestDirectionsRejected:
+    @pytest.mark.parametrize("direction", BAD_DIRECTIONS, ids=repr)
+    def test_split_many(self, direction):
+        with pytest.raises(RefinementError, match="split direction must be 0, 1 or 2"):
+            split_many(UNIT, direction, [HALF])
+
+    @pytest.mark.parametrize("direction", BAD_DIRECTIONS, ids=repr)
+    def test_quarter_lengthwise(self, direction):
+        with pytest.raises(RefinementError, match="quarter direction must be 0, 1 or 2"):
+            quarter_lengthwise(UNIT, direction)
+
+    @pytest.mark.parametrize(
+        "op", [SplitAt(-1, (HALF,)), SplitAt(7, (HALF,)), QuarterLengthwise(-2),
+               QuarterLengthwise(5), QuarterLengthwise(True)], ids=repr)
+    def test_apply_schedule(self, op):
+        c = fixture("cube")
+        with pytest.raises(RefinementError, match="direction must be 0, 1 or 2"):
+            apply_schedule(c, {c.labels[0]: op})
+
+    def test_an_empty_split_checks_its_direction_too(self):
+        with pytest.raises(RefinementError):
+            split_many(UNIT, -1, [])
 
 
 class TestTwoOppositeCovered:
