@@ -70,7 +70,7 @@ def demonstrate_single_joint_infeasibility():
         conn[f"X{n + 1}"] = (0, i, j)
     for n, (i, j) in enumerate(zip(z_order, z_order[1:])):
         conn[f"Z{n + 1}"] = (2, i, j)
-    straight = {k: con._connector(params, k, *v) for k, v in conn.items()}
+    straight = {b.id: b for b in zz_immersed(params)}
     side = params.cube_side
 
     def pieces(label, axis, i, j, joint_center):

@@ -117,35 +117,6 @@ def _paths(params: ZZParams):
     return labels, x_order, z_order
 
 
-def _connector(params: ZZParams, label: str, axis: int, i: int, j: int) -> Brick:
-    """Connector from cube i to cube j along `axis` (i before j on the path)."""
-    centers, side = params.centers, params.cube_side
-    forward = centers[j][axis] > centers[i][axis]
-    start = _face_min_corner(centers[i], side, axis, positive=forward)
-    end = _face_min_corner(centers[j], side, axis, positive=not forward)
-    return _prism(label, axis, start, end, side)
-
-
-def zz_immersed(params: ZZParams = ZZParams()) -> BrickComplex:
-    """The 10-brick self-intersecting ZZ-object.
-
-    Four cubes at the staggered centers plus six skew connectors: the
-    x-monotone path covers each cube's two x faces or one of them, the
-    z-monotone path the rest, so every brick ends up with two opposite
-    faces covered. The two tubes pass through each other, so validation
-    reports volume overlaps.
-    """
-    labels, x_order, z_order = _paths(params)
-    bricks = [
-        _cube(labels[i], params.centers[i], params.cube_side) for i in range(4)
-    ]
-    for n, (i, j) in enumerate(zip(x_order, x_order[1:])):
-        bricks.append(_connector(params, f"X{n + 1}", 0, i, j))
-    for n, (i, j) in enumerate(zip(z_order, z_order[1:])):
-        bricks.append(_connector(params, f"Z{n + 1}", 2, i, j))
-    return brick_complex(bricks, name="zz-immersed")
-
-
 # Zig-zag geometry for the embedded version. The two straight tube paths
 # cross in four pairs (X2-Z1 at the first cube, X3-Z2 at the second, X1-Z2
 # at the third, X2-Z3 at the fourth); these crossings are structural: each
@@ -167,28 +138,50 @@ ZIGZAG_BENDS = {
     "Z3": (("to", (0, -5, 6)),),
 }
 
-_CHAIN_SUFFIXES = {1: ("",), 2: ("a", "b"), 3: ("a", "b", "c")}
 
-
-def _zigzag_chain(params: ZZParams, label: str, i: int, j: int):
-    """Replace the z connector from cube i down to cube j by a segment chain
-    through the stored bend squares."""
+def _chain(
+    params: ZZParams, label: str, axis: int, i: int, j: int, bends
+) -> list[Brick]:
+    """Connector from cube i to cube j along `axis` (i before j on the path):
+    a chain of segments from i's face to j's through the bend squares
+    bends.get(label, ()), one straight segment if there are none."""
     centers, side = params.centers, params.cube_side
-    unit = Fraction(side, 4)
-    start = _face_min_corner(centers[i], side, 2, positive=False)
-    end = _face_min_corner(centers[j], side, 2, positive=True)
+    forward = centers[j][axis] > centers[i][axis]
+    start = _face_min_corner(centers[i], side, axis, positive=forward)
+    end = _face_min_corner(centers[j], side, axis, positive=not forward)
     waypoints = [start]
-    for anchor, offset in ZIGZAG_BENDS.get(label, ()):
+    for anchor, offset in bends.get(label, ()):
         base = start if anchor == "from" else end
-        waypoints.append(base + Vec3(*offset).scale(unit))
+        waypoints.append(base + Vec3(*offset).scale(Fraction(side, 4)))
     waypoints.append(end)
-    pieces = []
-    suffixes = _CHAIN_SUFFIXES[len(waypoints) - 1]
-    for k in range(len(waypoints) - 1):
-        pieces.append(
-            _prism(f"{label}{suffixes[k]}", 2, waypoints[k], waypoints[k + 1], side)
-        )
-    return pieces
+    suffixes = "abc" if len(waypoints) > 2 else ("",)
+    return [_prism(label + s, axis, p, q, side)
+            for s, p, q in zip(suffixes, waypoints, waypoints[1:])]
+
+
+def _zz(params: ZZParams, name: str, bends) -> BrickComplex:
+    """The four cubes, then the x path's connectors and the z path's, each
+    a chain through its bends."""
+    labels, x_order, z_order = _paths(params)
+    bricks = [
+        _cube(labels[i], params.centers[i], params.cube_side) for i in range(4)
+    ]
+    for path, axis, order in (("X", 0, x_order), ("Z", 2, z_order)):
+        for n, (i, j) in enumerate(zip(order, order[1:])):
+            bricks += _chain(params, f"{path}{n + 1}", axis, i, j, bends)
+    return brick_complex(bricks, name=name)
+
+
+def zz_immersed(params: ZZParams = ZZParams()) -> BrickComplex:
+    """The 10-brick self-intersecting ZZ-object.
+
+    Four cubes at the staggered centers plus six skew connectors: the
+    x-monotone path covers each cube's two x faces or one of them, the
+    z-monotone path the rest, so every brick ends up with two opposite
+    faces covered. The two tubes pass through each other, so validation
+    reports volume overlaps.
+    """
+    return _zz(params, "zz-immersed", {})
 
 
 def zz_embedded(params: ZZParams = ZZParams()) -> BrickComplex:
@@ -201,16 +194,7 @@ def zz_embedded(params: ZZParams = ZZParams()) -> BrickComplex:
     graph connectivity, and chi = -4; it raises naming the first improper
     pair if the stored bends do not work for the given parameters.
     """
-    labels, x_order, z_order = _paths(params)
-    bricks = [
-        _cube(labels[i], params.centers[i], params.cube_side) for i in range(4)
-    ]
-    for n, (i, j) in enumerate(zip(x_order, x_order[1:])):
-        bricks.append(_connector(params, f"X{n + 1}", 0, i, j))
-    for n, (i, j) in enumerate(zip(z_order, z_order[1:])):
-        bricks.extend(_zigzag_chain(params, f"Z{n + 1}", i, j))
-    result = brick_complex(bricks, name="zz-embedded")
-
+    result = _zz(params, "zz-embedded", ZIGZAG_BENDS)
     report = validate(result)
     if not report.properly_joined:
         pc = report.improper_pairs[0]

@@ -20,8 +20,8 @@ bricks of that frame it meets. Else each brick's edges are clipped to the
 other's slabs, with t-bounds kept as integer-style numerator/denominator
 pairs compared by cross-multiplying, giving exactly the vertices of a ∩ b
 (none iff disjoint); the contact kind follows from their affine dimension.
-Bounding boxes are tested only by the sweep in ``complexes.validate``,
-which classifies no pair whose boxes are apart.
+``classify_contact`` is total and tests no bounding box: it answers any
+pair, boxes apart or not, and its callers choose which pairs to ask about.
 
 Bricks with equal generators share one cached shape: the frame, the slab
 rates, the AABB and vertex offsets and det, so a brick's own values are its
@@ -129,9 +129,6 @@ class Vec3(NamedTuple):
             _norm_s(self.z - other.z),
         )
 
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
     def scale(self, k: Scalar) -> "Vec3":
         return Vec3(_norm_s(self.x * k), _norm_s(self.y * k), _norm_s(self.z * k))
 
@@ -148,9 +145,6 @@ class Vec3(NamedTuple):
     def norm2(self) -> Scalar:
         """Squared Euclidean length (exact)."""
         return self.dot(self)
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0 and self.z == 0
 
 
 Point3 = Vec3
@@ -176,43 +170,23 @@ def det3(a: Vec3, b: Vec3, c: Vec3) -> Scalar:
 
 VERTEX_COEFFS = tuple(product((0, 1), repeat=3))
 
+# The frame key of a rectilinear brick: the three unit axes, sorted.
+_AXIS_FRAME = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
-def _build_edges():
-    edges = []
-    for axis in range(3):
-        others = [a for a in range(3) if a != axis]
-        for rest in product((0, 1), repeat=2):
-            lo = [0, 0, 0]
-            for o, r in zip(others, rest):
-                lo[o] = r
-            hi = list(lo)
-            hi[axis] = 1
-            code = lambda t: t[0] * 4 + t[1] * 2 + t[2]
-            edges.append((code(lo), code(hi)))
-    return tuple(edges)
+# Generator k's bit in a code is 4 >> k. Edge group k joins each code c
+# without that bit to c with it.
+EDGE_CODES = tuple((c, c | 4 >> k)
+                   for k in range(3) for c in range(8) if not c & 4 >> k)
 
-
-EDGE_CODES = _build_edges()
-
-
-def _build_faces():
-    # Face index 2*k + side for generator k; side 0 contains the origin.
-    # Corner cycles are oriented so the quad normal points out of the brick
-    # (assuming det(u, v, w) > 0, which construction guarantees).
-    faces = []
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        ei, ej, ek = [0, 0, 0], [0, 0, 0], [0, 0, 0]
-        ei[i] = ej[j] = ek[k] = 1
-        code = lambda t: t[0] * 4 + t[1] * 2 + t[2]
-        add = lambda *vs: code([sum(c) for c in zip(*vs)])
-        zero = [0, 0, 0]
-        faces.append((add(zero), add(ej), add(ei, ej), add(ei)))
-        faces.append((add(ek), add(ek, ei), add(ek, ei, ej), add(ek, ej)))
-    return tuple(faces)
-
-
-FACE_CYCLES = _build_faces()
+# Face index 2*k + side for generator k; side 0 contains the origin. With bi,
+# bj the bits of generators k+1, k+2 (mod 3), corner cycles are oriented so
+# the quad normal points out of the brick (assuming det(u, v, w) > 0, which
+# construction guarantees).
+FACE_CYCLES = tuple(
+    face
+    for bk, bi, bj in ((4, 2, 1), (2, 1, 4), (1, 4, 2))
+    for face in ((0, bj, bi | bj, bi), (bk, bk | bi, bk | bi | bj, bk | bj))
+)
 
 
 def opposite_face(face_index: int) -> int:
@@ -295,12 +269,10 @@ class Brick:
         """Axis intervals if the brick is rectilinear, else None.
 
         Rectilinear means every generator is parallel to a coordinate axis
-        (the point set is then an axis-aligned box).
+        (the point set is then an axis-aligned box), so its frame key is
+        the three unit axes.
         """
-        for g in self.generators:
-            if sum(1 for c in g if c != 0) != 1:
-                return None
-        return self.aabb
+        return self.aabb if self._frame[0] == _AXIS_FRAME else None
 
     @cached_property
     def _frame(self):
@@ -497,7 +469,7 @@ def _affine_dim(points) -> int:
     normal = None
     for d in diffs[1:]:
         c = d1.cross(d)
-        if not c.is_zero():
+        if any(c):
             normal = c
             break
     if normal is None:

@@ -1,6 +1,7 @@
 """The ZZ builders, their derived geometry, and the fixture corpus."""
 
 from fractions import Fraction
+import hashlib
 
 import pytest
 
@@ -16,6 +17,7 @@ from bricks.constructions import (
     zz_embedded,
     zz_immersed,
 )
+from bricks.fileformats import emit_complex
 from bricks.geometry import ContactKind, vec3
 from bricks.refinement import (
     apply_schedule,
@@ -153,6 +155,35 @@ class TestZZEmbedded:
         )
         with pytest.raises(ConstructionError):
             zz_embedded(bad)
+
+
+# sha256 of emit_complex of each ZZ object at three cube sides; the straight
+# connectors and the zig-zag chains come from one builder, and these pin its
+# output to what the two builders it replaced emitted
+ZZ_DIGESTS = {
+    ("zz_immersed", 4): "a0be4764f4476059b324d8886b952c5f1687f3bdbe6c7fb6ad0b68801b9cb7e2",
+    ("zz_embedded", 4): "5a28a348b74111123a8864c496818bea7aa4cec45e266f3a3191d4e4a8f46d89",
+    ("zz_immersed", 3): "aa790d4bc41df4362d93cb3fec76c1d0cd9f8e3d3f32777d365421e09c69a32d",
+    ("zz_embedded", 3): "f2a7ef406c7f0068f2d837d259c7f4f891b2df636d96b4af46e3998efdfd81a8",
+    ("zz_immersed", Fraction(7, 2)):
+        "469464a2a31d76334bc433ca8374cb050b8b2714cc137938cabbc6453c9f1d6b",
+    ("zz_embedded", Fraction(7, 2)):
+        "fb468da33b1d31ac05497c7739df3087583b8d133f004d52b8fb1ad88c331671",
+}
+ZZ_LABELS = {
+    "zz_immersed": ("C1", "C2", "C3", "C4", "X1", "X2", "X3", "Z1", "Z2", "Z3"),
+    "zz_embedded": ("C1", "C2", "C3", "C4", "X1", "X2", "X3",
+                    "Z1a", "Z1b", "Z2a", "Z2b", "Z2c", "Z3a", "Z3b"),
+}
+
+
+@pytest.mark.parametrize("build, side", list(ZZ_DIGESTS),
+                         ids=lambda v: str(v).replace("/", "_"))
+def test_zz_objects_emit_pinned_text_in_pinned_order(build, side):
+    c = {"zz_immersed": zz_immersed, "zz_embedded": zz_embedded}[build](
+        ZZParams(cube_side=side))
+    assert hashlib.sha256(emit_complex(c).encode()).hexdigest() == ZZ_DIGESTS[build, side]
+    assert c.labels == ZZ_LABELS[build]
 
 
 class TestImmersedScaling:

@@ -18,6 +18,8 @@ from bricks.constructions import zz_embedded
 from bricks.fileformats import emit_complex, parse_complex
 from bricks.geometry import (
     DISJOINT,
+    EDGE_CODES,
+    FACE_CYCLES,
     Brick,
     ContactKind,
     GeometryError,
@@ -171,6 +173,26 @@ class TestBrick:
                 seg = tuple(sorted((poly[k], poly[(k + 1) % 4])))
                 assert seg in b.edge_index
 
+    @pytest.mark.parametrize("gens", [
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+        ((2, 1, 0), (0, 3, 1), (1, 0, 4)),
+        ((0, 0, -3), ("1/2", 0, 0), (0, 2, 0)),
+    ], ids=["unit", "det-flipped", "skew", "negative-fractional"])
+    def test_element_tables_follow_the_generators_and_faces_wind_outward(self, gens):
+        """Edge group k runs along generator k; face 2k + side holds the
+        vertices whose generator-k coefficient is side, and its corner cycle
+        has an outward normal."""
+        b = Brick("s", vec3(1, 2, 3), *(vec3(*g) for g in gens))
+        vs = b.vertices
+        for e, (i, j) in enumerate(EDGE_CODES):
+            assert vs[j] == vs[i] + b.generators[e // 4]
+        center = b.origin + (b.u + b.v + b.w).scale(Fraction(1, 2))
+        for f, cycle in enumerate(FACE_CYCLES):
+            assert {c >> (2 - f // 2) & 1 for c in cycle} == {f % 2}
+            p = b.face_polygon(f)
+            assert (p[1] - p[0]).cross(p[3] - p[0]).dot(p[0] - center) > 0
+
 
 coords = st.integers(min_value=0, max_value=6)
 
@@ -260,7 +282,7 @@ def framed(label, frame, lo, hi, order=(0, 1, 2), negate=()):
     origin = d[0].scale(lo[0]) + d[1].scale(lo[1]) + d[2].scale(lo[2])
     gens = [d[k].scale(scalar(hi[k]) - scalar(lo[k])) for k in range(3)]
     for k in negate:
-        origin, gens[k] = origin + gens[k], -gens[k]
+        origin, gens[k] = origin + gens[k], gens[k].scale(-1)
     return Brick(label, origin, *(gens[k] for k in order))
 
 
@@ -660,7 +682,8 @@ def primitive(g: Vec3) -> Vec3:
 
 
 def direct_geometry(b: Brick):
-    """(det, _frame, aabb, vertices) of b from their definitions."""
+    """(det, _frame, aabb, vertices, box) of b from their definitions: box
+    is the aabb if each generator has exactly one non-zero component."""
     vertices = tuple(
         Vec3(*(exact(o + x * du + y * dv + z * dw)
                for o, du, dv, dw in zip(b.origin, b.u, b.v, b.w)))
@@ -675,7 +698,9 @@ def direct_geometry(b: Brick):
         j = dirs.index(key[k])
         heights = [exact(n.dot(p)) for p in vertices]
         slots.append((n, min(heights), max(heights), j, n.dot(b.generators[j]) < 0))
-    return exact(det3(*b.generators)), (key, tuple(slots)), aabb, vertices
+    rectilinear = all(sum(1 for c in g if c != 0) == 1 for g in b.generators)
+    box = aabb if rectilinear else None
+    return exact(det3(*b.generators)), (key, tuple(slots)), aabb, vertices, box
 
 
 def with_types(value):
@@ -707,11 +732,13 @@ VECTORS = st.builds(Vec3, COMPONENTS, COMPONENTS, COMPONENTS)
          Vec3(Fraction(2, 1), 0, 0), False)
 @example(Vec3(0, 0, 0), Vec3(Fraction(2, 1), 0, 0), Vec3(0, Fraction(2, 1), 1),
          Vec3(0, 0, 2), Vec3(Fraction(1, 2), 0, -1), True)
+@example(Vec3(0, 0, -3), Vec3(Fraction(1, 2), 0, 0), Vec3(0, 2, 0),
+         Vec3(1, Fraction(-1, 3), 0), Vec3(0, 0, 0), False)
 def test_shared_shape_matches_direct_formulas(u, v, w, o1, o2, twin_first):
     """Two bricks of equal generators, one with each integral component's
-    type swapped, built in either order on an empty cache: det, _frame, aabb
-    and vertices equal their direct formulas in value and type. The triple
-    may have det < 0, which construction turns into v, w swapped."""
+    type swapped, built in either order on an empty cache: det, _frame, aabb,
+    vertices and box equal their direct formulas in value and type. The
+    triple may have det < 0, which construction turns into v, w swapped."""
     assume(det3(u, v, w) != 0)
     _shape.cache_clear()
     triples = [(u, v, w), tuple(map(twin, (u, v, w)))]
@@ -721,7 +748,7 @@ def test_shared_shape_matches_direct_formulas(u, v, w, o1, o2, twin_first):
     assert _shape.cache_info().currsize == 0
     for b in bricks:
         assert b.det > 0
-        got = (b.det, b._frame, b.aabb, b.vertices)
+        got = (b.det, b._frame, b.aabb, b.vertices, b.box)
         assert with_types(got) == with_types(direct_geometry(b))
     assert _shape.cache_info().currsize == 1
 
