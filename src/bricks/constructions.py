@@ -73,14 +73,9 @@ def _prism(label: str, axis: int, start: Point3, end: Point3, side: Scalar) -> B
     corner-to-corner displacement, so each end face coincides exactly with
     the neighboring face it covers.
     """
-    cross = [Vec3(0, 0, 0), Vec3(0, 0, 0)]
-    others = [a for a in range(3) if a != axis]
-    for slot, a in enumerate(others):
-        comps = [0, 0, 0]
-        comps[a] = side
-        cross[slot] = Vec3(*comps)
-    long = end - start
-    return Brick(label, start, long, cross[0], cross[1])
+    cross = [Vec3(*(side if k == a else 0 for k in range(3)))
+             for a in range(3) if a != axis]
+    return Brick(label, start, end - start, *cross)
 
 
 def _paths(params: ZZParams):

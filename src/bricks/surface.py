@@ -9,7 +9,8 @@ counted abstractly, which is exactly what makes its Euler characteristic
 equal to that of the embedded version. A vertex is keyed by its exact point
 and an edge by its sorted pair of end points. A key that no improper pair
 shares is one class: the bricks that share it meet pairwise, and all those
-pairs are proper, so the rule identifies them all.
+pairs are proper, so the rule identifies them all. One pass over the exposed
+faces numbers each vertex element it meets and keys edges by those numbers.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import prod
 from typing import Optional
 
 from .complexes import BrickComplex, ValidationReport
-from .geometry import _quoted
+from .geometry import FACE_CYCLES, _quoted
 
 
 class TopologyError(ValueError):
@@ -41,10 +42,13 @@ def _find(parent: dict, k):
     return k
 
 
-def _union(parent: dict, a, b) -> None:
+def _union(parent: dict, a, b) -> bool:
+    """Join a's and b's classes; True iff they were two classes before."""
     ra, rb = _find(parent, a), _find(parent, b)
-    if ra != rb:
-        parent[rb] = ra
+    if ra == rb:
+        return False
+    parent[rb] = ra
+    return True
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,16 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
     brick's element is its own class, joined through the proper pairs that
     share the key and have a brick in some improper pair; two bricks in
     none are both properly joined to a brick at the key that is in one.
+    Each vertex element is numbered the first time a face meets it; an edge
+    element is the sorted pair of its ends' numbers, or its class at a key
+    an improper pair shares.
 
     The surface is vertex-manifold iff the exposed faces around each vertex
     form one cycle. Each face corner links its two wings (vertex, edge); a
     wing occurs once per face on its edge, so every wing occurs twice iff the
-    surface is edge-manifold, and then each vertex must have one class of
-    linked wings.
+    surface is edge-manifold. Then the F faces' 8F wing slots hold 4F wings,
+    and the surface is vertex-manifold iff 4F minus the link merges, the
+    number of classes of linked wings, is V: one class per vertex.
     """
     report.check_matches(complex)
     by_id = {b.id: b for b in complex.bricks}
@@ -150,39 +158,41 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
         if (pc.a in in_improper or pc.b in in_improper) and not pc.contact.improper:
             for key in keys(pc.a) & keys(pc.b) & split:
                 _union(parent, (key, pc.a), (key, pc.b))
-    element = lambda key, label: _find(parent, (key, label)) if key in split else key
 
     exposed = exposed_faces(complex, report)
-    vertices, wings = set(), set()
+    number: dict = {}
     edge_faces: dict = {}
     link: dict = {}
-    for face in exposed:
-        label, f = face
-        ps = by_id[label].face_polygon(f)
-        es = [element((p, q) if p < q else (q, p), label)
-              for p, q in zip(ps, ps[1:] + ps[:1])]
-        for e in es:
+    link_merges = 0
+    for face, (label, f) in enumerate(exposed):
+        vs = by_id[label].vertices
+        ps = [vs[c] for c in FACE_CYCLES[f]]
+        ns = [number.setdefault(_find(parent, (p, label)) if split and p in split
+                                else p, len(number)) for p in ps]
+        es = [(m, n) if m < n else (n, m) for m, n in zip(ns, ns[1:] + ns[:1])]
+        if split:
+            for pos, (p, q) in enumerate(zip(ps, ps[1:] + ps[:1])):
+                key = (p, q) if p < q else (q, p)
+                if key in split:
+                    es[pos] = _find(parent, (key, label))
+        for pos, e in enumerate(es):
             edge_faces.setdefault(e, []).append(face)
-        for pos, p in enumerate(ps):
-            v = element(p, label)
-            vertices.add(v)
-            prev_wing, next_wing = (v, es[pos - 1]), (v, es[pos])
-            wings.update((prev_wing, next_wing))
-            _union(link, prev_wing, next_wing)
+            link_merges += _union(link, (ns[pos], es[pos - 1]), (ns[pos], e))
 
-    v_count = len(vertices)
+    v_count = len(number)
     e_count = len(edge_faces)
     f_count = len(exposed)
     chi = v_count - e_count + f_count
 
     edge_manifold = all(len(faces) == 2 for faces in edge_faces.values())
-    vertex_manifold = edge_manifold and len({_find(link, w) for w in wings}) == v_count
+    # edge-manifold, every wing fills two of the 8F slots: 4F wings, in
+    # 4F - link_merges classes, and each vertex has at least one
+    vertex_manifold = edge_manifold and 4 * f_count - link_merges == v_count
 
     joined: dict = {}
-    for faces in edge_faces.values():
-        for other in faces[1:]:
-            _union(joined, faces[0], other)
-    components = len({_find(joined, face) for face in exposed})
+    components = f_count - sum(_union(joined, faces[0], other)
+                               for faces in edge_faces.values()
+                               for other in faces[1:])
 
     genus, genus_reason = _genus_and_reason(
         chi, components, edge_manifold and vertex_manifold

@@ -584,15 +584,32 @@ def overlapping_boxes(seed):
     return brick_complex(bricks, name=f"boxes-{seed}")
 
 
+def sheared(c, m=((1, 1, 0), (0, 1, 1), (1, 0, 0))):
+    """c moved by the integer shear m (det 1), which takes the x and y axes
+    off-axis, so every unit cube becomes a skew brick."""
+    def apply(p):
+        return vec3(*(sum(r[k] * p[k] for k in range(3)) for r in m))
+
+    return brick_complex(
+        (Brick(b.id, apply(b.origin), apply(b.u), apply(b.v), apply(b.w))
+         for b in c),
+        name=f"sheared-{c.name}",
+    )
+
+
 class TestReferenceIdentification:
     """surface_stats against reference_surface_stats, which applies the
     transitive rule pair by pair."""
 
     def check(self, complexes):
-        seen = {"improper": 0, "vertex": 0, "edge": 0}
+        seen = {"improper": 0, "vertex": 0, "edge": 0,
+                "not edge-manifold": 0, "pinched": 0}
         for c in complexes:
             r = validate(c)
-            assert surface_stats(c, r) == reference_surface_stats(c, r), c.name
+            s = surface_stats(c, r)
+            assert s == reference_surface_stats(c, r), c.name
+            seen["not edge-manifold"] += not s.edge_manifold
+            seen["pinched"] += s.edge_manifold and not s.vertex_manifold
             by_id = {b.id: b for b in c}
             shared = [
                 (set(by_id[pc.a].vertices) & set(by_id[pc.b].vertices),
@@ -616,6 +633,43 @@ class TestReferenceIdentification:
         seen = self.check(overlapping_boxes(seed) for seed in range(1, 601))
         assert seen["improper"] >= 450
         assert seen["vertex"] >= 350 and seen["edge"] >= 180
+
+    def test_sheared_polycubes(self):
+        """The skew path: every brick has off-axis generators, and on a
+        4^3 grid many polycubes meet themselves along edges or at points."""
+        seen = self.check(
+            sheared(random_rectilinear(seed, max_bricks=60, grid=4))
+            for seed in range(1, 201)
+        )
+        assert seen["not edge-manifold"] >= 50 and seen["pinched"] >= 5
+
+    def test_refined_zz_embedded(self):
+        zz = zz_embedded()
+        refined = apply_schedule(zz, standard_zz_schedule(zz))
+        assert len(refined) == 72 and len({b._frame[0] for b in refined}) == 11
+        self.check([refined])
+
+
+def test_stats_do_not_depend_on_brick_order_labels_or_generator_order():
+    """surface_stats numbers vertex elements in the order it meets them, so
+    a complex with its bricks shuffled, relabelled and their generators
+    rotated (which reorders each brick's faces) must give equal stats."""
+    rng = random.Random(1701)
+    complexes = [
+        *(fixture(n) for n in fixture_names()),
+        *(random_rectilinear(seed) for seed in range(1, 31)),
+        *(overlapping_boxes(seed) for seed in range(1, 201)),
+    ]
+    for c in complexes:
+        bricks = list(c)
+        rng.shuffle(bricks)
+        labels = rng.sample(range(10**6), len(bricks))
+        moved = []
+        for label, b in zip(labels, bricks):
+            k = rng.randrange(3)
+            gens = (b.u, b.v, b.w)
+            moved.append(Brick(f"q{label}", b.origin, *gens[k:], *gens[:k]))
+        assert stats_of(brick_complex(moved)) == stats_of(c), c.name
 
 
 class TestRefinementInvariance:
