@@ -3,7 +3,8 @@
 Each command reads a brick file (or builds a named object), prints a JSON
 report document to stdout and a one-line summary to stderr, and uses the
 exit-code contract: 0 success / properly joined, 1 semantic failure
-(improper pairs; corners found under --assert-cornerless), 2 input errors.
+(improper pairs; corners found under --assert-cornerless), 2 input errors,
+among them a complex whose validation passes the pair budget.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import sys
 
 from .complexes import (
+    PairBudgetError,
     brick_graph,
     component_count,
     corners,
@@ -313,6 +315,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except PairBudgetError as exc:  # only commands that validate an input
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

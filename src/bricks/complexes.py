@@ -32,6 +32,15 @@ class ComplexError(ValueError):
     """Malformed complex (duplicate labels, unknown labels, ...)."""
 
 
+class PairBudgetError(ValueError):
+    """validate would classify more pairs than PAIR_BUDGET allows."""
+
+
+# (per brick, base): bounds validate's work on hostile input, such as many
+# copies of one brick; properly joined complexes classify far fewer pairs
+PAIR_BUDGET = (64, 10_000)
+
+
 class StaleReportError(ValueError):
     """A validation report was paired with a complex it was not built from."""
 
@@ -213,13 +222,18 @@ def _meeting(extents, children, parent: Brick, ends) -> list[int]:
 
 def _classified(bricks: tuple[Brick, ...], pairs) -> ValidationReport:
     """The report of bricks, classifying the pairs (i, j) yields, each pair
-    once; a pair not yielded must be DISJOINT."""
+    once; a pair not yielded must be DISJOINT. Raises PairBudgetError, before
+    classifying it, at the first pair past PAIR_BUDGET."""
     # classify_contact is looked up in this module on each call, so a wrapper
     # installed there sees every pair; inside the scope it classifies each
     # skew pair once up to translation.
+    budget = PAIR_BUDGET[0] * len(bricks) + PAIR_BUDGET[1]
     records = []
     with _skew_memo_scope():
-        for i, j in pairs:
+        for count, (i, j) in enumerate(pairs, 1):
+            if count > budget:
+                raise PairBudgetError(f"{len(bricks)} bricks need more than the "
+                                      f"budget of {budget} pair classifications")
             contact = classify_contact(bricks[i], bricks[j])
             if contact.kind is ContactKind.DISJOINT:
                 continue
@@ -296,22 +310,30 @@ def degree_histogram(graph: BrickGraph) -> dict[int, int]:
 
 
 def component_count(graph: BrickGraph) -> int:
-    """Connected components of the brick graph."""
-    adjacency = {n: [] for n in graph.nodes}
-    for a, b in graph.arcs:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen: set[str] = set()
-    components = 0
-    for start in graph.nodes:
-        if start in seen:
-            continue
-        components += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-    return components
+    """Connected components of the brick graph: its nodes less the merges
+    of a union-find over its arcs."""
+    parent: dict = {}
+    return len(graph.nodes) - sum(_union(parent, a, b) for a, b in graph.arcs)
+
+
+def _find(parent: dict, k):
+    """Root of k's class in a disjoint-set forest kept in a dict (Tarjan
+    1975). A root is never a key, so an unseen key is its own root; the walk
+    halves the path, pointing each visited key at its grandparent."""
+    while k in parent:
+        p = parent[k]
+        if p not in parent:
+            return p
+        grandparent = parent[p]
+        parent[k] = grandparent
+        k = grandparent
+    return k
+
+
+def _union(parent: dict, a, b) -> bool:
+    """Join a's and b's classes; True iff they were two classes before."""
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra == rb:
+        return False
+    parent[rb] = ra
+    return True

@@ -14,19 +14,20 @@ from three interval overlaps, the oriented-box reduction of Gottschalk, Lin
 Each brick's slabs come from its frame: one per pair of frame directions,
 with that pair's cross product as normal. A pair of another kind is
 disjoint if one brick lies beyond a slab of the other (its extent along the
-slab's normal ends below the slab or starts above it). A brick keeps its
-extents per frame, so it is projected onto each frame once, however many
-bricks of that frame it meets. Else each brick's edges are clipped to the
-other's slabs, with t-bounds kept as integer-style numerator/denominator
-pairs compared by cross-multiplying, giving exactly the vertices of a ∩ b
-(none iff disjoint); the contact kind follows from their affine dimension.
+slab's normal ends below the slab or starts above it). The extents are
+cached per generator triple and frame for the brick placed at the origin,
+and the slab is moved by the brick's origin instead. Else each brick's edges
+are clipped to the other's slabs, with t-bounds kept as integer-style
+numerator/denominator pairs compared by cross-multiplying, giving exactly
+the vertices of a ∩ b (none iff disjoint); the contact kind follows from
+their affine dimension.
 ``classify_contact`` is total and tests no bounding box: it answers any
 pair, boxes apart or not, and its callers choose which pairs to ask about.
 
 Bricks with equal generators share one cached shape: the frame, the slab
 rates, the AABB and vertex offsets and det, so a brick's own values are its
-origin plus the shape's. The cache is a thread-safe ``functools.lru_cache``
-of at most 1024 generator triples, and it holds immutable values only.
+origin plus the shape's. The shape and extents caches are thread-safe
+``functools.lru_cache``s of 1024 entries each holding immutable values only.
 
 Within one ``complexes.validate`` pass, skew contacts are memoized by
 translation. Moving both bricks by t keeps the kind and the face indices and
@@ -254,11 +255,6 @@ class Brick:
         return tuple(vs[c] for c in FACE_CYCLES[face_index])
 
     @cached_property
-    def face_vertex_sets(self) -> tuple[frozenset, ...]:
-        vs = self.vertices
-        return tuple(frozenset(vs[c] for c in cyc) for cyc in FACE_CYCLES)
-
-    @cached_property
     def aabb(self) -> tuple[tuple[Scalar, Scalar], ...]:
         ends = _shape(self.u, self.v, self.w)[2]
         return tuple((_norm_s(c + lo), _norm_s(c + hi))
@@ -285,11 +281,6 @@ class Brick:
             base = n.dot(self.origin)
             out.append((n, _norm_s(base + lo), _norm_s(base + hi), j, flip))
         return key, tuple(out)
-
-    @cached_property
-    def _along(self) -> dict:
-        """Frame key -> this brick's extents, filled by _slab_coordinates."""
-        return {}
 
 
 @lru_cache(maxsize=1024)
@@ -322,6 +313,20 @@ def _shape(u: Vec3, v: Vec3, w: Vec3):
                 for cs in zip(u, v, w))
     offsets = tuple(u.scale(a) + v.scale(b) + w.scale(c) for a, b, c in VERTEX_COEFFS)
     return key, tuple(slots), box, offsets, _norm_s(det3(u, v, w))
+
+
+@lru_cache(maxsize=1024)
+def _extents(u: Vec3, v: Vec3, w: Vec3, key):
+    """Per slab of the frame key, normal n as in _shape: (min, max, n.p at
+    the 8 vertices in vertex-code order, n.g for u, v, w) of the brick u, v,
+    w placed at the origin, normalized as _shape's values are."""
+    out = []
+    for k in range(3):
+        n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
+        ru, rv, rw = rates = tuple(_norm_s(n.dot(g)) for g in (u, v, w))
+        side = tuple(_norm_s(a * ru + b * rv + c * rw) for a, b, c in VERTEX_COEFFS)
+        out.append((min(side), max(side), side, rates))
+    return tuple(out)
 
 
 def brick_from_box(min_corner, max_corner, id: str) -> Brick:
@@ -384,27 +389,17 @@ DISJOINT = Contact(ContactKind.DISJOINT)
 
 def _slab_coordinates(x: Brick, y: Brick):
     """x in y's slab coordinates: per slab of y's frame, (lo, hi, n.p at x's
-    8 vertices in vertex-code order, n.g for x's 3 generators). None if x
-    lies beyond a slab, all its values below lo or all above hi: x is then
-    in an open half-space that misses y. x keeps its extents per frame: the
-    first brick of y's frame fills x._along[key], per normal (min, max,
-    values, rates) from 12 dot products; later ones only compare min, max.
+    8 vertices in vertex-code order, n.g for x's 3 generators), the values
+    those of x placed at the origin (_extents) and lo, hi moved by -n.o for
+    x's origin o. None if x lies beyond a slab, all its values below lo or
+    all above hi: x is then in an open half-space that misses y.
     """
     key, slots = y._frame
-    along = x._along.get(key)
-    if along is None:
-        o, gens = x.origin, x.generators
-        along = []
-        for n, _, _, _, _ in slots:
-            base = n.dot(o)
-            ru, rv, rw = rates = (n.dot(gens[0]), n.dot(gens[1]), n.dot(gens[2]))
-            side = [base, base + rw]
-            side += [s + rv for s in side]
-            side += [s + ru for s in side]
-            along.append((min(side), max(side), tuple(side), rates))
-        along = x._along[key] = tuple(along)
-    out = []
-    for (_, lo, hi, _, _), (least, most, side, rates) in zip(slots, along):
+    o, out = x.origin, []
+    for (n, lo, hi, _, _), (least, most, side, rates) in zip(
+            slots, _extents(x.u, x.v, x.w, key)):
+        base = n.dot(o)
+        lo, hi = lo - base, hi - base
         if most < lo or least > hi:
             return None
         out.append((lo, hi, side, rates))
@@ -492,12 +487,8 @@ def _classify_from_vertices(a: Brick, b: Brick, dim: int, verts) -> Contact:
         return Contact(ContactKind.PARTIAL_EDGE)
     if dim == 2:
         vset = frozenset(verts)
-        fa = next(
-            (i for i, s in enumerate(a.face_vertex_sets) if s == vset), None
-        )
-        fb = next(
-            (i for i, s in enumerate(b.face_vertex_sets) if s == vset), None
-        )
+        fa = next((f for f in range(6) if frozenset(a.face_polygon(f)) == vset), None)
+        fb = next((f for f in range(6) if frozenset(b.face_polygon(f)) == vset), None)
         if fa is not None and fb is not None:
             return Contact(ContactKind.WHOLE_FACE, face_a=fa, face_b=fb)
         return Contact(ContactKind.PARTIAL_FACE)

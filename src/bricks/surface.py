@@ -20,35 +20,12 @@ from itertools import product
 from math import prod
 from typing import Optional
 
-from .complexes import BrickComplex, ValidationReport
+from .complexes import BrickComplex, ValidationReport, _find, _union
 from .geometry import FACE_CYCLES, _quoted
 
 
 class TopologyError(ValueError):
     """Raised when a requested topological quantity is undefined."""
-
-
-def _find(parent: dict, k):
-    """Root of k's class in a disjoint-set forest kept in a dict (Tarjan
-    1975). A root is never a key, so an unseen key is its own root; the walk
-    halves the path, pointing each visited key at its grandparent."""
-    while k in parent:
-        p = parent[k]
-        if p not in parent:
-            return p
-        grandparent = parent[p]
-        parent[k] = grandparent
-        k = grandparent
-    return k
-
-
-def _union(parent: dict, a, b) -> bool:
-    """Join a's and b's classes; True iff they were two classes before."""
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra == rb:
-        return False
-    parent[rb] = ra
-    return True
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -468,6 +469,57 @@ def test_oracle_over_the_cell_budget_exits_two(capsys, tmp_path):
     assert out == ""
     (line,) = err.splitlines()
     assert line.startswith("error: --oracle: ") and "over the budget" in line
+
+
+def identical_cubes_text(n: int) -> str:
+    return "".join(f"brick c{i} 0 0 0  1 0 0  0 1 0  0 0 1\n" for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["graph"], ["genus"], ["refine", "--standard-zz"],
+     ["export-obj", "--exposed-only"]],
+    ids=lambda argv: argv[0],
+)
+def test_over_the_pair_budget_exits_two_with_one_line(capsys, tmp_path, argv):
+    """All pairs of 220 identical cubes meet, 24,090 of them, past their
+    budget of 24,080 classified pairs."""
+    path = tmp_path / "same.bricks"
+    path.write_text(identical_cubes_text(220))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: {path}: 220 bricks need more than the budget of 24080 pair "
+        "classifications"]
+
+
+def test_many_identical_bricks_are_refused_in_bounded_time_and_memory(tmp_path):
+    """1,000 identical cubes, a 41 KB file, meet in 499,500 pairs; validate
+    stops at the budget of 74,000 instead of classifying and printing them
+    all, which takes seconds and about a gigabyte."""
+    path = tmp_path / "same.bricks"
+    path.write_text(identical_cubes_text(1000))
+    rss = tmp_path / "maxrss"
+    script = (
+        "import resource, sys\n"
+        "from bricks.cli import main\n"
+        "code = main(sys.argv[2:])\n"
+        "with open(sys.argv[1], 'w') as f:\n"
+        "    f.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))\n"
+        "sys.exit(code)\n"
+    )
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(rss), "validate", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 30
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    (line,) = done.stderr.splitlines()
+    assert line.startswith("error: ") and "the budget of 74000 pair" in line
+    assert int(rss.read_text()) < 200_000  # KiB
 
 
 @pytest.mark.parametrize(

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bricks import complexes
 from bricks.complexes import (
+    PAIR_BUDGET,
     BrickComplex,
     ComplexError,
+    PairBudgetError,
     PairContact,
     StaleReportError,
     ValidationReport,
+    _aabb_meeting_pairs,
     brick_complex,
     brick_graph,
     component_count,
@@ -22,6 +26,7 @@ from bricks.complexes import (
     validate,
 )
 from bricks.constructions import (
+    ZZParams,
     fixture,
     fixture_names,
     random_rectilinear,
@@ -341,3 +346,78 @@ def test_broad_phase_classifies_only_contacts_on_a_unit_cube_block(monkeypatch):
     report = validate(cubes_at(*product(range(10), repeat=3)))
     # 2,700 whole faces, 4,860 whole edges and 2,916 points
     assert len(calls) == len(report.contacts) == 10_476
+
+
+# --- the pair budget --------------------------------------------------------
+
+
+def pair_budget(n: int) -> int:
+    per_brick, base = PAIR_BUDGET
+    return per_brick * n + base
+
+
+def identical_cubes(n: int) -> BrickComplex:
+    return brick_complex(brick_from_box((0, 0, 0), (1, 1, 1), f"c{i}")
+                         for i in range(n))
+
+
+def test_pair_budget_refuses_the_first_pair_past_it(monkeypatch):
+    """All n(n-1)/2 pairs of n identical cubes meet: 219 cubes classify
+    23,871 pairs, within their budget of 24,016; 220 cubes would classify
+    24,090, past their 24,080, so validate raises before the 24,081st."""
+    assert pair_budget(219) == 24_016 and pair_budget(220) == 24_080
+    assert len(validate(identical_cubes(219)).improper_pairs) == 219 * 218 // 2
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return classify_contact(a, b)
+
+    monkeypatch.setattr("bricks.complexes.classify_contact", counting)
+    with pytest.raises(PairBudgetError,
+                       match="^220 bricks need more than the budget of 24080 pair"):
+        validate(identical_cubes(220))
+    assert len(calls) == 24_080
+    assert issubclass(PairBudgetError, ValueError)
+
+
+def test_suite_complexes_classify_at_most_half_the_pair_budget(monkeypatch):
+    """The budget refuses none of the complexes the suite builds, with half
+    of it to spare. n bricks classify at most n(n-1)/2 pairs, which settles
+    every complex of at most 133 bricks (the fixtures, the random polycubes
+    and test_surface's overlapping boxes, 2 to 9 each); the larger ones are
+    counted as they validate, through their lineage where apply_schedule
+    refined them, and by their sweep as a fresh parse would validate them.
+    The worst is the sweep of zz-embedded refined three times, 74,611 pairs
+    for 2,688 bricks."""
+    shares = []
+    classified = complexes._classified
+
+    def counting(bricks, pairs):
+        pairs = list(pairs)
+        shares.append(len(pairs) / pair_budget(len(bricks)))
+        return classified(bricks, pairs)
+
+    monkeypatch.setattr(complexes, "_classified", counting)
+    small = [
+        *(fixture(name) for name in fixture_names()),
+        *(random_rectilinear(seed) for seed in range(1, 51)),
+        *(random_rectilinear(seed, max_bricks=60, grid=4) for seed in range(1, 201)),
+        zz_immersed(),
+    ]
+    assert all(n * (n - 1) // 2 <= pair_budget(n) // 2 for n in range(134))
+    assert max(map(len, small)) <= 133
+    large = [cubes_at(*product(range(10), repeat=3)),
+             refined(zz_immersed, 1)]
+    for side, times in ((4, 3), (3, 2), (Fraction(7, 2), 2)):
+        chain = [zz_embedded(ZZParams(cube_side=side))]
+        for _ in range(times):
+            chain.append(apply_schedule(chain[-1], standard_zz_schedule(chain[-1])))
+        large += chain
+    for c in large:
+        validate(c)
+        sweep = sum(1 for _ in _aabb_meeting_pairs(c.bricks))
+        shares.append(sweep / pair_budget(len(c)))
+        if len(c) == 2688:
+            assert sweep == 74_611
+    assert len(shares) > len(large) and max(shares) <= 0.5

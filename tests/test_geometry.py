@@ -26,6 +26,7 @@ from bricks.geometry import (
     Vec3,
     _affine_dim,
     _classify_from_vertices,
+    _extents,
     _intersection_vertices,
     _shape,
     _slab_coordinates,
@@ -638,18 +639,26 @@ MEMO_PARTNERS = {
 
 
 def test_one_brick_meets_many_of_another_frame():
-    """A brick keeps its extents along each frame it meets; classifying it in
-    turn against bricks of one other frame gives what fresh copies give."""
+    """Extents are cached per generator triple and frame: classifying a brick
+    in turn against bricks of one other frame gives what fresh copies give,
+    and it fills one entry for its triple, which a moved copy shares."""
     a = Brick("a", vec3(0, 0, HALF), vec3(2, 0, 0), vec3(0, 2, 0), vec3(0, 0, 2))
     partners = [(kind, framed("b", FRAMES["unimodular"], lo, hi))
                 for kind, boxes in MEMO_PARTNERS.items() for lo, hi in boxes]
+    _extents.cache_clear()
     for kind, b in partners:
         for x, y in ((a, b), (b, a)):
             contact = classify_contact(x, y)
             assert contact == classify_contact(fresh(x), fresh(y))
             assert contact.kind is kind
             assert _intersection_vertices(x, y) == triple_enumeration_vertices(x, y)
-    assert list(a._along) == [partners[0][1]._frame[0]]
+    entries = _extents.cache_info().currsize
+    assert entries == 1 + len({b.generators for _, b in partners})
+    moved = Brick("m", a.origin + vec3(7, -3, HALF), *a.generators)
+    hits = _extents.cache_info().hits
+    classify_contact(moved, partners[0][1])
+    assert _extents.cache_info().currsize == entries
+    assert _extents.cache_info().hits == hits + 1
 
 
 def test_validate_with_shared_bricks_matches_a_fresh_parse():
@@ -766,3 +775,89 @@ def test_shape_cache_stays_bounded():
     assert _shape.cache_info().currsize <= bound
     assert len(report.contacts) == len(bricks) - 1
     assert report == validate(parse_complex(emit_complex(complex)))
+
+
+# --- the extents cache ------------------------------------------------------
+#
+# Bricks with equal generators share one entry of _extents per frame, and
+# int and integral-Fraction twins are equal keys; whichever twin fills it,
+# each brick must read what the definitions give and classify alike.
+
+
+def extents_from_definitions(x: Brick, key):
+    """Per slab of the frame key: (min, max, n.(p - o) at x's vertices p in
+    vertex-code order, n.g per generator g of x), o the origin and n the
+    cross product of the slab's other two frame directions."""
+    vertices = direct_geometry(x)[3]
+    out = []
+    for k in range(3):
+        n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
+        side = tuple(exact(n.dot(p) - n.dot(x.origin)) for p in vertices)
+        rates = tuple(exact(n.dot(g)) for g in x.generators)
+        out.append((min(side), max(side), side, rates))
+    return tuple(out)
+
+
+@st.composite
+def skew_pairs(draw):
+    """Two bricks not of one frame, their origins and generators drawn from
+    VECTORS; half the time b is moved so that one of its vertices is one of
+    a's."""
+    def brick(label):
+        gens = [draw(VECTORS) for _ in range(3)]
+        assume(det3(*gens) != 0)
+        return Brick(label, draw(VECTORS), *gens)
+
+    a, b = brick("a"), brick("b")
+    assume(a._frame[0] != b._frame[0])
+    if draw(st.booleans()):
+        shift = a.vertices[draw(st.integers(0, 7))] - b.vertices[draw(st.integers(0, 7))]
+        b = Brick("b", b.origin + shift, b.u, b.v, b.w)
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(skew_pairs(), st.booleans())
+@example(SKEW_EXAMPLES["second-order-slab-reject"], False)
+@example(SKEW_EXAMPLES["negative-rate-exact-end"], True)
+@example((Brick("a", vec3("1/2", 0, "-1/4"), *SKEW_QUARTER),
+          Brick("b", vec3("3/4", "1/4", 0), *(g.scale(HALF) for g in LATTICE))),
+         False)
+@example((Brick("a", vec3(0, 0, 0), vec3(Fraction(2, 1), 0, 0), vec3(1, 1, 0),
+                vec3(0, 0, 1)),
+          Brick("b", vec3(1, 0, 0), vec3(1, 1, 0), vec3(0, 1, 1), vec3(1, 0, 1))),
+         True)
+def test_shared_extents_match_direct_formulas(pair, twin_first):
+    """A skew pair and its twin, each integral generator component's type
+    swapped, classified in both orders on an empty cache, the twins first or
+    last: the two fill one entry each, which equals its definition in value
+    and type, and both pairs give equal contacts, scalar types included."""
+    twins = tuple(Brick(x.id, x.origin, *map(twin, x.generators)) for x in pair)
+    _extents.cache_clear()
+    contacts = []
+    for a, b in (twins, pair) if twin_first else (pair, twins):
+        contacts.append((typed(classify_contact(a, b)), typed(classify_contact(b, a))))
+    assert contacts[0] == contacts[1]
+    assert _extents.cache_info().currsize == 2
+    for x, y in (pair, pair[::-1]):
+        key = y._frame[0]
+        got = _extents(x.u, x.v, x.w, key)
+        assert with_types(got) == with_types(extents_from_definitions(x, key))
+    assert _extents.cache_info().currsize == 2
+
+
+def test_refined_zz_levels_fill_one_entry_per_triple_and_frame():
+    """Every refinement level of zz-embedded has 11 generator triples and
+    11 frames, so a fresh validate of the 2,688-brick level fills at most
+    121 entries however many skew pairs it classifies; the cache has the
+    shape cache's bound."""
+    assert _extents.cache_info().maxsize == _shape.cache_info().maxsize
+    c = zz_embedded()
+    for _ in range(3):
+        c = apply_schedule(c, standard_zz_schedule(c))
+    c = parse_complex(emit_complex(c))
+    assert len(c) == 2688
+    assert len({b.generators for b in c}) == len({b._frame[0] for b in c}) == 11
+    _extents.cache_clear()
+    assert validate(c).properly_joined
+    assert 0 < _extents.cache_info().currsize <= 121
