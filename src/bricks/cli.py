@@ -213,11 +213,11 @@ def cmd_table_chi(args) -> int:
     }
     if totals.genus_reason:
         document["genus_unavailable"] = totals.genus_reason
-    _emit(
-        document,
-        f"V={totals.vertex_count} E={totals.edge_count} F={totals.face_count} "
-        f"chi={totals.chi} genus={totals.genus}",
-    )
+    # format_scalar refuses a count too long to print, before anything is
+    # printed; no number of the document is longer than these four
+    v, e, f, chi = map(format_scalar, (totals.vertex_count, totals.edge_count,
+                                       totals.face_count, totals.chi))
+    _emit(document, f"V={v} E={e} F={f} chi={chi} genus={totals.genus}")
     return EXIT_OK
 
 
@@ -230,9 +230,10 @@ def cmd_build(args) -> int:
             )
         else:
             complex = fixture(args.name)
+        text = emit_complex(complex)
     except (ConstructionError, GeometryError) as exc:
         raise CliError(str(exc)) from exc
-    _write_output(emit_complex(complex), args.output)
+    _write_output(text, args.output)
     print(f"{args.name}: {len(complex)} bricks", file=sys.stderr)
     return EXIT_OK
 
@@ -315,7 +316,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except PairBudgetError as exc:  # only commands that validate an input
+    except (PairBudgetError, GeometryError) as exc:
+        # commands that read an input: past the pair budget, or a value too
+        # long to print (build handles its own)
         print(f"error: {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -183,9 +183,6 @@ def _lineage_pairs(bricks: tuple[Brick, ...], report: ValidationReport, spans):
     for r in spans:
         for i, j in _aabb_meeting_pairs(bricks[r.start:r.stop]):
             yield r.start + i, r.start + j
-    # each brick's frame intervals, flat: lo0, hi0, lo1, hi1, lo2, hi2
-    extents = [[v for _, lo, hi, _, _ in b._frame[1] for v in (lo, hi)]
-               for b in bricks]
     parents = {p.id: (p, r) for p, r in zip(report.bricks, spans)}
     for pc in report.contacts:
         (p, near_p), (q, near_q) = parents[pc.a], parents[pc.b]
@@ -196,14 +193,14 @@ def _lineage_pairs(bricks: tuple[Brick, ...], report: ValidationReport, spans):
                 at_q = q.face_polygon(contact.face_b)[::2]
             else:
                 at_p = at_q = contact.points
-            near_p = _meeting(extents, near_p, p, at_p)
-            near_q = _meeting(extents, near_q, q, at_q)
+            near_p = _meeting(bricks, near_p, p, at_p)
+            near_q = _meeting(bricks, near_q, q, at_q)
         for i in near_p:
             for j in near_q:
                 yield (i, j) if i < j else (j, i)
 
 
-def _meeting(extents, children, parent: Brick, ends) -> list[int]:
+def _meeting(bricks, children, parent: Brick, ends) -> list[int]:
     """The children whose frame intervals meet the box that ends spans in
     their parent's frame coordinates. ends are a point, the two ends of an
     edge of the parent, or two opposite corners of a face of it: a normal of
@@ -214,7 +211,7 @@ def _meeting(extents, children, parent: Brick, ends) -> list[int]:
         for ds in ([n.dot(x) for x in ends] for n, *_ in parent._frame[1])]
     near = []
     for k in children:
-        l0, h0, l1, h1, l2, h2 = extents[k]
+        (_, l0, h0, _, _), (_, l1, h1, _, _), (_, l2, h2, _, _) = bricks[k]._frame[1]
         if l0 <= b0 and a0 <= h0 and l1 <= b1 and a1 <= h1 and l2 <= b2 and a2 <= h2:
             near.append(k)
     return near

@@ -86,6 +86,8 @@ def _paths(params: ZZParams):
     """
     centers = params.centers
     side = params.cube_side
+    if side <= 0:
+        raise ConstructionError(f"cube side {side} must be positive")
     labels = [f"C{i + 1}" for i in range(4)]
 
     def ordered(axis: int, reverse: bool):

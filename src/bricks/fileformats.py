@@ -8,6 +8,7 @@ exception is mesh export, where viewers require decimals.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -110,7 +111,8 @@ def parse_complex(text: str) -> BrickComplex:
             except GeometryError as exc:
                 raise ParseError(str(exc), line) from exc
         else:
-            raise ParseError(f"unknown directive {_quoted(toks[0])}", line)
+            raise ParseError(f"unknown directive {_quoted(toks[0])}", line,
+                             _column_of(raw, 0))
     if not bricks:
         raise ParseError("no bricks in file", 1)
     return brick_complex(bricks, name=name)
@@ -141,13 +143,12 @@ def parse_piece_table(text: str) -> PieceTable:
                 f"piece row needs 5 tokens (label mult v e f), got {len(toks)}", line
             )
         numbers = []
-        for t in toks[1:]:
+        for i, t in enumerate(toks[1:], 1):
             try:
                 numbers.append(int(t))
             except ValueError as exc:
-                raise ParseError(
-                    f"bad integer in piece row: {_quoted(t)}", line
-                ) from exc
+                raise ParseError(f"bad integer in piece row: {_quoted(t)}", line,
+                                 _column_of(raw, i)) from exc
         try:
             rows.append(PieceRow(toks[0], *numbers))
         except ValueError as exc:
@@ -179,7 +180,8 @@ def parse_schedule(text: str) -> dict[str, RefineOp]:
             raise ParseError("schedule line needs an id and an operator", line)
         label, op = toks[0], toks[1]
         if label in ops:
-            raise ParseError(f"duplicate schedule entry for {_quoted(label)}", line)
+            raise ParseError(f"duplicate schedule entry for {_quoted(label)}", line,
+                             _column_of(raw, 0))
         if op == "keep" and len(toks) == 2:
             ops[label] = Keep()
         elif op == "octasect" and len(toks) == 2:
@@ -201,9 +203,8 @@ def parse_schedule(text: str) -> dict[str, RefineOp]:
             )
             ops[label] = SplitAt(int(toks[2]), fractions)
         else:
-            raise ParseError(
-                f"bad schedule operator {_quoted(' '.join(toks[1:]))}", line
-            )
+            raise ParseError(f"bad schedule operator {_quoted(' '.join(toks[1:]))}",
+                             line, _column_of(raw, 1))
     return ops
 
 
@@ -212,7 +213,8 @@ def parse_schedule(text: str) -> dict[str, RefineOp]:
 
 def _decimal(q: Scalar) -> str:
     """Shortest exact decimal when the denominator is 2^a 5^b, else the
-    shortest float round-trip form."""
+    shortest float round-trip form. Raises GeometryError for a value that
+    has more digits than Python prints or lies beyond the largest float."""
     f = Fraction(q)
     den = f.denominator
     twos = fives = 0
@@ -223,14 +225,16 @@ def _decimal(q: Scalar) -> str:
         den //= 5
         fives += 1
     if den != 1:
+        if abs(f) > sys.float_info.max:
+            raise GeometryError("a coordinate lies beyond the largest float")
         return repr(float(f))
     digits = max(twos, fives)
     if digits == 0:
-        return str(f.numerator)
+        return format_scalar(f.numerator)
     scaled = f.numerator * 10 ** digits // f.denominator
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10 ** digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    whole, frac = map(format_scalar, divmod(abs(scaled), 10 ** digits))
+    return f"{sign}{whole}.{frac.zfill(digits)}"
 
 
 def export_obj(

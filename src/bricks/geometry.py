@@ -14,20 +14,19 @@ from three interval overlaps, the oriented-box reduction of Gottschalk, Lin
 Each brick's slabs come from its frame: one per pair of frame directions,
 with that pair's cross product as normal. A pair of another kind is
 disjoint if one brick lies beyond a slab of the other (its extent along the
-slab's normal ends below the slab or starts above it). The extents are
-cached per generator triple and frame for the brick placed at the origin,
-and the slab is moved by the brick's origin instead. Else each brick's edges
-are clipped to the other's slabs, with t-bounds kept as integer-style
+slab's normal ends below the slab or starts above it). Else each brick's
+edges are clipped to the other's slabs, with t-bounds kept as integer-style
 numerator/denominator pairs compared by cross-multiplying, giving exactly
 the vertices of a ∩ b (none iff disjoint); the contact kind follows from
 their affine dimension.
 ``classify_contact`` is total and tests no bounding box: it answers any
 pair, boxes apart or not, and its callers choose which pairs to ask about.
 
-Bricks with equal generators share one cached shape: the frame, the slab
-rates, the AABB and vertex offsets and det, so a brick's own values are its
-origin plus the shape's. The shape and extents caches are thread-safe
-``functools.lru_cache``s of 1024 entries each holding immutable values only.
+Slab data come from one table, ``_extents``, per generator triple and
+frame: each slab's normal and the extents of the brick placed at the
+origin. Bricks with equal generators share one shape: frame key, own-frame
+entry, AABB and vertex offsets and det, each brick adding its origin. Both
+are thread-safe ``functools.lru_cache``s of 1024 immutable entries.
 
 Within one ``complexes.validate`` pass, skew contacts are memoized by
 translation. Moving both bricks by t keeps the kind and the face indices and
@@ -100,8 +99,15 @@ def scalar(value) -> Scalar:
 
 
 def format_scalar(q: Scalar) -> str:
-    """Render a scalar as an exact decimal-free token: "5" or "-3/4"."""
-    return str(q)  # a Fraction of denominator 1 prints as its numerator
+    """Render a scalar as an exact decimal-free token: "5" or "-3/4".
+
+    A scalar with more digits than Python's int-to-str limit allows raises
+    GeometryError, not str()'s bare ValueError."""
+    try:
+        return str(q)  # a Fraction of denominator 1 prints as its numerator
+    except ValueError:
+        raise GeometryError("a value has more digits than Python's "
+                            "int-to-str limit allows") from None
 
 
 class Vec3(NamedTuple):
@@ -272,60 +278,54 @@ class Brick:
 
     @cached_property
     def _frame(self):
-        """(key, slots) of _shape, each slot's rate bounds moved to this
-        brick's origin: the brick is the points p with lo <= n.p <= hi in
-        all three slots (n, lo, hi, j, flip)."""
-        key, slots = _shape(self.u, self.v, self.w)[:2]
+        """(key, slots): per slab of the brick's own frame (_shape), the slot
+        (n, lo, hi, j, flip) with lo, hi moved to this brick's origin, so the
+        brick is the points p with lo <= n.p <= hi in all three; generator j
+        is the one not orthogonal to n, flip whether n.g_j < 0."""
+        key, slabs = _shape(self.u, self.v, self.w)[:2]
         out = []
-        for n, lo, hi, j, flip in slots:
-            base = n.dot(self.origin)
-            out.append((n, _norm_s(base + lo), _norm_s(base + hi), j, flip))
+        for n, lo, hi, _, rates in slabs:
+            base, j = n.dot(self.origin), 0 if rates[0] else 1 if rates[1] else 2
+            out.append((n, _norm_s(base + lo), _norm_s(base + hi), j, rates[j] < 0))
         return key, tuple(out)
 
 
 @lru_cache(maxsize=1024)
 def _shape(u: Vec3, v: Vec3, w: Vec3):
     """What a brick owes to its generators alone, computed once per triple:
-    (key, slots, box, offsets, det). The key is the frame D: the generator
+    (key, slabs, box, offsets, det). The key is the frame D: the generator
     directions as primitive integer vectors, first non-zero entry positive,
-    sorted. Slot k is (n, min(r, 0), max(r, 0), j, r < 0) for
-    n = D[k+1] x D[k+2], generator j the one parallel to D[k] and r = n.g_j.
-    box holds per axis the sums of the generators' negative and positive
-    components, offsets the 8 vertices less the origin in vertex-code order.
-    Equal triples share an entry (2 == Fraction(2, 1)), so what a brick
-    reads from it is normalized, an integral value an int: then it does not
-    depend on which triple filled the entry."""
-    gens = (u, v, w)
+    sorted. slabs is _extents(u, v, w, key), the brick's slabs in its own
+    frame. box holds per axis the sums of the generators' negative and
+    positive components, offsets the 8 vertices less the origin in
+    vertex-code order. Equal triples share an entry (2 == Fraction(2, 1)),
+    so what a brick reads from it is normalized, an integral value an int:
+    then it does not depend on which triple filled the entry."""
     dirs = []
-    for g in gens:
+    for g in (u, v, w):
         m = lcm(*(c.denominator for c in g))
         ints = [c.numerator * (m // c.denominator) for c in g]
         q = gcd(*ints) * (1 if next(c for c in ints if c) > 0 else -1)
         dirs.append(Vec3(*(c // q for c in ints)))
     key = tuple(sorted(dirs))
-    slots = []
-    for k in range(3):
-        n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
-        j = dirs.index(key[k])
-        rate = n.dot(gens[j])
-        slots.append((n, min(rate, 0), max(rate, 0), j, rate < 0))
     box = tuple((sum(c for c in cs if c < 0), sum(c for c in cs if c > 0))
                 for cs in zip(u, v, w))
     offsets = tuple(u.scale(a) + v.scale(b) + w.scale(c) for a, b, c in VERTEX_COEFFS)
-    return key, tuple(slots), box, offsets, _norm_s(det3(u, v, w))
+    return key, _extents(u, v, w, key), box, offsets, _norm_s(det3(u, v, w))
 
 
 @lru_cache(maxsize=1024)
 def _extents(u: Vec3, v: Vec3, w: Vec3, key):
-    """Per slab of the frame key, normal n as in _shape: (min, max, n.p at
-    the 8 vertices in vertex-code order, n.g for u, v, w) of the brick u, v,
-    w placed at the origin, normalized as _shape's values are."""
+    """The slab table, the only code that computes slab data: per slab k of
+    the frame key, (n, min, max, n.p at the 8 vertices in vertex-code order,
+    n.g for u, v, w) for the normal n = key[k+1] x key[k+2] and the brick
+    u, v, w placed at the origin, normalized as _shape's values are."""
     out = []
     for k in range(3):
         n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
         ru, rv, rw = rates = tuple(_norm_s(n.dot(g)) for g in (u, v, w))
         side = tuple(_norm_s(a * ru + b * rv + c * rw) for a, b, c in VERTEX_COEFFS)
-        out.append((min(side), max(side), side, rates))
+        out.append((n, min(side), max(side), side, rates))
     return tuple(out)
 
 
@@ -396,7 +396,7 @@ def _slab_coordinates(x: Brick, y: Brick):
     """
     key, slots = y._frame
     o, out = x.origin, []
-    for (n, lo, hi, _, _), (least, most, side, rates) in zip(
+    for (_, lo, hi, _, _), (n, least, most, side, rates) in zip(
             slots, _extents(x.u, x.v, x.w, key)):
         base = n.dot(o)
         lo, hi = lo - base, hi - base

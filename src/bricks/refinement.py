@@ -118,7 +118,8 @@ def long_direction(b: Brick) -> int:
     if len(winners) > 1:
         raise RefinementError(
             f"brick {_quoted(b.id)} has no strictly longest generator "
-            f"(squared lengths {lengths}); pass long_dir explicitly"
+            f"(generators {', '.join(map(str, winners))} tie); "
+            "pass long_dir explicitly"
         )
     return winners[0]
 

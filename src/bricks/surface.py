@@ -21,7 +21,7 @@ from math import prod
 from typing import Optional
 
 from .complexes import BrickComplex, ValidationReport, _find, _union
-from .geometry import FACE_CYCLES, _quoted
+from .geometry import FACE_CYCLES, _quoted, format_scalar
 
 
 class TopologyError(ValueError):
@@ -51,7 +51,9 @@ class SurfaceStats:
 
 
 def genus_from_chi(chi: int, components: int = 1, manifold: bool = True) -> int:
-    """Genus g with chi = 2 - 2g for a closed connected orientable surface."""
+    """Genus g with chi = 2 - 2g for a closed connected orientable surface.
+
+    A chi too long to print raises GeometryError (format_scalar)."""
     if not manifold:
         raise TopologyError("genus undefined: surface is not a manifold")
     if components != 1:
@@ -59,9 +61,9 @@ def genus_from_chi(chi: int, components: int = 1, manifold: bool = True) -> int:
             f"genus undefined: surface has {components} components, not 1"
         )
     if chi % 2 != 0:
-        raise TopologyError(f"genus undefined: chi = {chi} is odd")
+        raise TopologyError(f"genus undefined: chi = {format_scalar(chi)} is odd")
     if chi > 2:
-        raise TopologyError(f"genus undefined: chi = {chi} exceeds 2")
+        raise TopologyError(f"genus undefined: chi = {format_scalar(chi)} exceeds 2")
     return (2 - chi) // 2
 
 

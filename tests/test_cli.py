@@ -582,3 +582,105 @@ def test_call_after_a_usage_error_succeeds(capsys, tmp_path):
     assert code == 0 and err == "cube: 1 bricks\n"
     code, doc, _ = run_json(capsys, "genus", str(path))
     assert code == 0 and doc["chi"] == 2
+
+
+# A number whose decimal form has more digits than Python's int-to-str limit
+# (4,300 by default) cannot be printed without raising that limit for the
+# whole process, so a command that would print one exits 2 instead.
+NINES = "9" * 4300
+WHOLE_EDGE = (f"brick a {NINES} 0 0 {NINES} 0 0 0 1 0 0 0 1\n"
+              f"brick b {NINES} 1 1 {NINES} 0 0 0 1 0 0 0 1\n")
+TOO_LONG = "a value has more digits than Python's int-to-str limit allows"
+has_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this interpreter prints ints of any length")
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        pytest.param("validate", WHOLE_EDGE, TOO_LONG, marks=has_digit_limit),
+        pytest.param("export-obj", WHOLE_EDGE, TOO_LONG, marks=has_digit_limit),
+        ("export-obj", f"brick a 1{'0' * 400}/3 0 0 1 0 0 0 1 0 0 0 1\n",
+         "a coordinate lies beyond the largest float"),
+        pytest.param("table-chi", f"piece {NINES[:4000]} {NINES[:4000]} 0 0\n",
+                     TOO_LONG, marks=has_digit_limit),
+        pytest.param("table-chi", f"piece {NINES[:4000]} {NINES[:4000]} "
+                     f"{NINES[:4000]} 0\n", TOO_LONG, marks=has_digit_limit),
+    ],
+    ids=["whole-edge-contact", "whole-edge-vertex", "float-overflow",
+         "odd-chi", "long-vertex-count"],
+)
+def test_number_too_long_to_print_exits_two_with_one_line(capsys, tmp_path, command,
+                                                         text, message):
+    """The whole-edge contact of two 4,300-digit bricks ends at x = 2N, 4,301
+    digits; 10^400/3 has no float; a piece row of two 4,000-digit counts
+    has V = K^2, 8,000 digits, and an odd chi of as many."""
+    path = tmp_path / "hostile.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {path}: {message}"]
+
+
+def test_tied_long_generators_are_named_not_their_squared_lengths(capsys, tmp_path):
+    """Quartering a brick with two equal longest generators fails naming
+    them; their squared lengths, 6,000 digits here, are not printed."""
+    side = "9" * 3000
+    path = tmp_path / "square.bricks"
+    path.write_text(f"brick a 0 0 0 {side} 0 0 0 {side} 0 0 0 1\n")
+    code, out, err = run(capsys, "refine", str(path), "--standard-zz")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: brick 'a' has no strictly longest generator (generators 0, 1 "
+        "tie); pass long_dir explicitly"]
+
+
+@has_digit_limit
+def test_installed_command_exits_two_on_a_number_too_long_to_print(tmp_path):
+    path = tmp_path / "edge.bricks"
+    path.write_text(WHOLE_EDGE)
+    done = subprocess.run(
+        [sys.executable, "-m", "bricks.cli", "validate", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [f"error: {path}: {TOO_LONG}"]
+
+
+@pytest.mark.parametrize(
+    "command, text, line, column, message",
+    [
+        ("table-chi", "cube 4 x 12 3\n", 1, 8, "bad integer in piece row: 'x'"),
+        ("validate", CUBE_LINE + "   frob 1 2\n", 2, 4, "unknown directive 'frob'"),
+        ("schedule", "a keep\n  a keep\n", 2, 3, "duplicate schedule entry for 'a'"),
+        ("schedule", "a  frobnicate\n", 1, 4, "bad schedule operator 'frobnicate'"),
+    ],
+    ids=["piece-row-integer", "indented-directive", "repeated-label",
+         "schedule-operator"],
+)
+def test_error_column_points_at_its_token(capsys, tmp_path, command, text, line,
+                                          column, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    good = tmp_path / "good.bricks"
+    good.write_text(CUBE_LINE)
+    if command == "schedule":
+        argv = ["refine", str(good), "--schedule", str(bad)]
+    else:
+        argv = [command, str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {bad}: line {line}, column {column}: {message}"]
+
+
+@pytest.mark.parametrize("side", ["-4", "0"])
+def test_non_positive_cube_side_exits_two_naming_the_side(capsys, side):
+    code, out, err = run(capsys, "build", "zz-embedded", "--cube-side", side)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: cube side {side} must be positive"]

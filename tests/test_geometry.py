@@ -641,10 +641,12 @@ MEMO_PARTNERS = {
 def test_one_brick_meets_many_of_another_frame():
     """Extents are cached per generator triple and frame: classifying a brick
     in turn against bricks of one other frame gives what fresh copies give,
-    and it fills one entry for its triple, which a moved copy shares."""
+    and each triple fills one entry for its own frame (through _shape) and
+    one for the other frame, which a moved copy shares."""
     a = Brick("a", vec3(0, 0, HALF), vec3(2, 0, 0), vec3(0, 2, 0), vec3(0, 0, 2))
     partners = [(kind, framed("b", FRAMES["unimodular"], lo, hi))
                 for kind, boxes in MEMO_PARTNERS.items() for lo, hi in boxes]
+    _shape.cache_clear()
     _extents.cache_clear()
     for kind, b in partners:
         for x, y in ((a, b), (b, a)):
@@ -653,7 +655,7 @@ def test_one_brick_meets_many_of_another_frame():
             assert contact.kind is kind
             assert _intersection_vertices(x, y) == triple_enumeration_vertices(x, y)
     entries = _extents.cache_info().currsize
-    assert entries == 1 + len({b.generators for _, b in partners})
+    assert entries == 2 * (1 + len({b.generators for _, b in partners}))
     moved = Brick("m", a.origin + vec3(7, -3, HALF), *a.generators)
     hits = _extents.cache_info().hits
     classify_contact(moved, partners[0][1])
@@ -785,8 +787,8 @@ def test_shape_cache_stays_bounded():
 
 
 def extents_from_definitions(x: Brick, key):
-    """Per slab of the frame key: (min, max, n.(p - o) at x's vertices p in
-    vertex-code order, n.g per generator g of x), o the origin and n the
+    """Per slab of the frame key: (n, min, max, n.(p - o) at x's vertices p
+    in vertex-code order, n.g per generator g of x), o the origin and n the
     cross product of the slab's other two frame directions."""
     vertices = direct_geometry(x)[3]
     out = []
@@ -794,7 +796,7 @@ def extents_from_definitions(x: Brick, key):
         n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
         side = tuple(exact(n.dot(p) - n.dot(x.origin)) for p in vertices)
         rates = tuple(exact(n.dot(g)) for g in x.generators)
-        out.append((min(side), max(side), side, rates))
+        out.append((n, min(side), max(side), side, rates))
     return tuple(out)
 
 
@@ -829,21 +831,23 @@ def skew_pairs(draw):
          True)
 def test_shared_extents_match_direct_formulas(pair, twin_first):
     """A skew pair and its twin, each integral generator component's type
-    swapped, classified in both orders on an empty cache, the twins first or
-    last: the two fill one entry each, which equals its definition in value
-    and type, and both pairs give equal contacts, scalar types included."""
+    swapped, classified in both orders on empty caches, the twins first or
+    last: each triple fills one entry for its own frame and one for the
+    other brick's, each equal to its definition in value and type, and both
+    pairs give equal contacts, scalar types included."""
     twins = tuple(Brick(x.id, x.origin, *map(twin, x.generators)) for x in pair)
+    _shape.cache_clear()
     _extents.cache_clear()
     contacts = []
     for a, b in (twins, pair) if twin_first else (pair, twins):
         contacts.append((typed(classify_contact(a, b)), typed(classify_contact(b, a))))
     assert contacts[0] == contacts[1]
-    assert _extents.cache_info().currsize == 2
-    for x, y in (pair, pair[::-1]):
-        key = y._frame[0]
-        got = _extents(x.u, x.v, x.w, key)
-        assert with_types(got) == with_types(extents_from_definitions(x, key))
-    assert _extents.cache_info().currsize == 2
+    assert _extents.cache_info().currsize == 4
+    for x in pair:
+        for key in (y._frame[0] for y in pair):
+            got = _extents(x.u, x.v, x.w, key)
+            assert with_types(got) == with_types(extents_from_definitions(x, key))
+    assert _extents.cache_info().currsize == 4
 
 
 def test_refined_zz_levels_fill_one_entry_per_triple_and_frame():
