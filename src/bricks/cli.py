@@ -5,6 +5,11 @@ report document to stdout and a one-line summary to stderr, and uses the
 exit-code contract: 0 success / properly joined, 1 semantic failure
 (improper pairs; corners found under --assert-cornerless), 2 input errors,
 among them a complex whose validation passes the pair budget.
+
+main runs the command cmd_<name> and is the only place that reports an
+error: every library error is a ValueError, printed as one line
+"error: <input>: <message>" ("error: <message>" for build, which reads no
+file); a CliError names its own file.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import json
 import sys
 
 from .complexes import (
-    PairBudgetError,
     brick_graph,
     component_count,
     corners,
@@ -23,7 +27,6 @@ from .complexes import (
     validate,
 )
 from .constructions import (
-    ConstructionError,
     ZZParams,
     fixture,
     fixture_names,
@@ -37,8 +40,8 @@ from .fileformats import (
     parse_piece_table,
     parse_schedule,
 )
-from .geometry import GeometryError, format_scalar, scalar
-from .refinement import RefinementError, apply_schedule, standard_zz_schedule
+from .geometry import format_scalar, scalar
+from .refinement import apply_schedule, standard_zz_schedule
 from .surface import VoxelError, piece_table_chi, surface_stats, voxel_chi
 
 EXIT_OK = 0
@@ -47,9 +50,7 @@ EXIT_INPUT = 2
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
+    """An error whose message names its file; main prints it as it is."""
 
 
 def _read(path: str, parse):
@@ -146,10 +147,7 @@ def cmd_refine(args) -> int:
         schedule = _read(args.schedule, parse_schedule)
     else:
         schedule = {}
-    try:
-        refined = apply_schedule(complex, schedule)
-    except RefinementError as exc:
-        raise CliError(str(exc)) from exc
+    refined = apply_schedule(complex, schedule)
     _write_output(emit_complex(refined), args.output)
     print(
         f"{complex.name or args.input}: {len(complex)} -> {len(refined)} bricks",
@@ -181,7 +179,7 @@ def cmd_genus(args) -> int:
             document["oracle_chi"] = voxel_chi(complex)
             document["oracle_agrees"] = document["oracle_chi"] == stats.chi
         except VoxelError as exc:
-            raise CliError(f"--oracle: {exc}") from exc
+            raise CliError(f"{args.input}: --oracle: {exc}") from exc
     summary = (
         f"{complex.name or args.input}: chi={stats.chi}"
         + (f", genus={stats.genus}" if stats.genus is not None else ", genus undefined")
@@ -222,18 +220,12 @@ def cmd_table_chi(args) -> int:
 
 
 def cmd_build(args) -> int:
-    try:
-        if args.name in ("zz-immersed", "zz-embedded"):
-            params = ZZParams(cube_side=scalar(args.cube_side))
-            complex = (
-                zz_immersed(params) if args.name == "zz-immersed" else zz_embedded(params)
-            )
-        else:
-            complex = fixture(args.name)
-        text = emit_complex(complex)
-    except (ConstructionError, GeometryError) as exc:
-        raise CliError(str(exc)) from exc
-    _write_output(text, args.output)
+    if args.name in ("zz-immersed", "zz-embedded"):
+        construct = zz_immersed if args.name == "zz-immersed" else zz_embedded
+        complex = construct(ZZParams(cube_side=scalar(args.cube_side)))
+    else:
+        complex = fixture(args.name)
+    _write_output(emit_complex(complex), args.output)
     print(f"{args.name}: {len(complex)} bricks", file=sys.stderr)
     return EXIT_OK
 
@@ -258,13 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="classify all brick pairs")
     p.add_argument("input")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("graph", help="brick graph, degrees, and corners")
     p.add_argument("input")
     p.add_argument("--assert-cornerless", action="store_true",
                    help="exit 1 if any corner exists")
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("refine", help="apply a refinement schedule")
     p.add_argument("input")
@@ -273,30 +263,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="octasect cube-shaped bricks, quarter the rest")
     group.add_argument("--schedule", metavar="FILE")
     p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("genus", help="exposed-surface counts and genus")
     p.add_argument("input")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check chi against the voxel oracle")
-    p.set_defaults(func=cmd_genus)
 
     p = sub.add_parser("table-chi", help="Euler characteristic of a piece table")
     p.add_argument("input")
-    p.set_defaults(func=cmd_table_chi)
 
     p = sub.add_parser("build", help="emit a built-in object or fixture")
     p.add_argument("name", help="zz-immersed, zz-embedded, or a fixture name "
                    f"({', '.join(fixture_names())}, random-<seed>)")
     p.add_argument("--cube-side", default="4", metavar="N|N/D")
     p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("export-obj", help="quad mesh of brick faces")
     p.add_argument("input")
     p.add_argument("--exposed-only", action="store_true")
     p.add_argument("-o", "--output", metavar="FILE")
-    p.set_defaults(func=cmd_export_obj)
 
     return parser
 
@@ -310,17 +295,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # by name, so a wrapper installed on this module after the parser
-        # was built still sees the command
-        return globals()[args.func.__name__](args)
+        # by name, so a wrapper installed on this module still sees the command
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (PairBudgetError, GeometryError) as exc:
-        # commands that read an input: past the pair budget, or a value too
-        # long to print (build handles its own)
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except ValueError as exc:
+        where = f"{args.input}: " if "input" in args else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

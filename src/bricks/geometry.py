@@ -58,9 +58,9 @@ class GeometryError(ValueError):
     """Degenerate or non-exact geometric input."""
 
 
-def _norm(q: Fraction) -> Scalar:
+def _norm(q: Scalar) -> Scalar:
     # keep integral values as plain ints: faster arithmetic, cleaner output
-    return q.numerator if q.denominator == 1 else q
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
 _SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -124,20 +124,20 @@ class Vec3(NamedTuple):
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(
-            _norm_s(self.x + other.x),
-            _norm_s(self.y + other.y),
-            _norm_s(self.z + other.z),
+            _norm(self.x + other.x),
+            _norm(self.y + other.y),
+            _norm(self.z + other.z),
         )
 
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(
-            _norm_s(self.x - other.x),
-            _norm_s(self.y - other.y),
-            _norm_s(self.z - other.z),
+            _norm(self.x - other.x),
+            _norm(self.y - other.y),
+            _norm(self.z - other.z),
         )
 
     def scale(self, k: Scalar) -> "Vec3":
-        return Vec3(_norm_s(self.x * k), _norm_s(self.y * k), _norm_s(self.z * k))
+        return Vec3(_norm(self.x * k), _norm(self.y * k), _norm(self.z * k))
 
     def dot(self, other: "Vec3") -> Scalar:
         return self.x * other.x + self.y * other.y + self.z * other.z
@@ -155,10 +155,6 @@ class Vec3(NamedTuple):
 
 
 Point3 = Vec3
-
-
-def _norm_s(q: Scalar) -> Scalar:
-    return _norm(q) if type(q) is Fraction else q
 
 
 def vec3(x, y, z) -> Vec3:
@@ -263,7 +259,7 @@ class Brick:
     @cached_property
     def aabb(self) -> tuple[tuple[Scalar, Scalar], ...]:
         ends = _shape(self.u, self.v, self.w)[2]
-        return tuple((_norm_s(c + lo), _norm_s(c + hi))
+        return tuple((_norm(c + lo), _norm(c + hi))
                      for c, (lo, hi) in zip(self.origin, ends))
 
     @cached_property
@@ -286,7 +282,7 @@ class Brick:
         out = []
         for n, lo, hi, _, rates in slabs:
             base, j = n.dot(self.origin), 0 if rates[0] else 1 if rates[1] else 2
-            out.append((n, _norm_s(base + lo), _norm_s(base + hi), j, rates[j] < 0))
+            out.append((n, _norm(base + lo), _norm(base + hi), j, rates[j] < 0))
         return key, tuple(out)
 
 
@@ -311,7 +307,7 @@ def _shape(u: Vec3, v: Vec3, w: Vec3):
     box = tuple((sum(c for c in cs if c < 0), sum(c for c in cs if c > 0))
                 for cs in zip(u, v, w))
     offsets = tuple(u.scale(a) + v.scale(b) + w.scale(c) for a, b, c in VERTEX_COEFFS)
-    return key, _extents(u, v, w, key), box, offsets, _norm_s(det3(u, v, w))
+    return key, _extents(u, v, w, key), box, offsets, _norm(det3(u, v, w))
 
 
 @lru_cache(maxsize=1024)
@@ -323,8 +319,8 @@ def _extents(u: Vec3, v: Vec3, w: Vec3, key):
     out = []
     for k in range(3):
         n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
-        ru, rv, rw = rates = tuple(_norm_s(n.dot(g)) for g in (u, v, w))
-        side = tuple(_norm_s(a * ru + b * rv + c * rw) for a, b, c in VERTEX_COEFFS)
+        ru, rv, rw = rates = tuple(_norm(n.dot(g)) for g in (u, v, w))
+        side = tuple(_norm(a * ru + b * rv + c * rw) for a, b, c in VERTEX_COEFFS)
         out.append((n, min(side), max(side), side, rates))
     return tuple(out)
 

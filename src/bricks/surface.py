@@ -21,7 +21,7 @@ from math import prod
 from typing import Optional
 
 from .complexes import BrickComplex, ValidationReport, _find, _union
-from .geometry import FACE_CYCLES, _quoted, format_scalar
+from .geometry import FACE_CYCLES, GeometryError, _quoted, format_scalar
 
 
 class TopologyError(ValueError):
@@ -53,17 +53,21 @@ class SurfaceStats:
 def genus_from_chi(chi: int, components: int = 1, manifold: bool = True) -> int:
     """Genus g with chi = 2 - 2g for a closed connected orientable surface.
 
-    A chi too long to print raises GeometryError (format_scalar)."""
+    An odd or over-2 chi raises TopologyError, quoting chi if it can be
+    printed."""
     if not manifold:
         raise TopologyError("genus undefined: surface is not a manifold")
     if components != 1:
         raise TopologyError(
             f"genus undefined: surface has {components} components, not 1"
         )
-    if chi % 2 != 0:
-        raise TopologyError(f"genus undefined: chi = {format_scalar(chi)} is odd")
-    if chi > 2:
-        raise TopologyError(f"genus undefined: chi = {format_scalar(chi)} exceeds 2")
+    if chi % 2 != 0 or chi > 2:
+        try:
+            shown = f"chi = {format_scalar(chi)}"
+        except GeometryError:  # too long to print
+            shown = "chi"
+        raise TopologyError(
+            f"genus undefined: {shown} {'is odd' if chi % 2 else 'exceeds 2'}")
     return (2 - chi) // 2
 
 

@@ -3,6 +3,7 @@ voxel oracle, and the per-piece tables."""
 
 import functools
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -255,6 +256,18 @@ class TestPieceTables:
         totals = piece_table_chi(PieceTable((PieceRow("odd", 1, 1, 0, 0),)))
         assert totals.genus is None
         assert "odd" in totals.genus_reason
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter prints ints of any length")
+    @pytest.mark.parametrize("extra, reason", [(0, "is odd"), (1, "exceeds 2")])
+    def test_chi_too_long_to_print_reports_reason(self, extra, reason):
+        """chi = K(K + extra), K of 4,000 digits: too long to print, so the
+        reason does not quote it."""
+        k = int("9" * 4000)
+        totals = piece_table_chi(PieceTable((PieceRow("p", k + extra, k, 0, 0),)))
+        assert totals.chi == (k + extra) * k
+        assert totals.genus is None
+        assert totals.genus_reason == f"genus undefined: chi {reason}"
 
     def test_bad_rows_rejected(self):
         with pytest.raises(ValueError):
