@@ -9,7 +9,7 @@ among them a complex whose validation passes the pair budget.
 main runs the command cmd_<name> and is the only place that reports an
 error: every library error is a ValueError, printed as one line
 "error: <input>: <message>" ("error: <message>" for build, which reads no
-file); a CliError names its own file.
+file); a CliError names its own file, if any.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ EXIT_INPUT = 2
 
 
 class CliError(Exception):
-    """An error whose message names its file; main prints it as it is."""
+    """An error whose message names its file, if any; main prints it as is."""
 
 
 def _read(path: str, parse):
@@ -222,7 +222,10 @@ def cmd_table_chi(args) -> int:
 def cmd_build(args) -> int:
     if args.name in ("zz-immersed", "zz-embedded"):
         construct = zz_immersed if args.name == "zz-immersed" else zz_embedded
-        complex = construct(ZZParams(cube_side=scalar(args.cube_side)))
+        side = "4" if args.cube_side is None else args.cube_side
+        complex = construct(ZZParams(cube_side=scalar(side)))
+    elif args.cube_side is not None:
+        raise CliError("--cube-side applies only to zz-immersed and zz-embedded")
     else:
         complex = fixture(args.name)
     _write_output(emit_complex(complex), args.output)
@@ -275,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="emit a built-in object or fixture")
     p.add_argument("name", help="zz-immersed, zz-embedded, or a fixture name "
                    f"({', '.join(fixture_names())}, random-<seed>)")
-    p.add_argument("--cube-side", default="4", metavar="N|N/D")
+    p.add_argument("--cube-side", metavar="N|N/D")
     p.add_argument("-o", "--output", metavar="FILE")
 
     p = sub.add_parser("export-obj", help="quad mesh of brick faces")

@@ -2,13 +2,11 @@
 
 A complex is a finite labeled list of bricks. Validation classifies pairs
 exactly, and skips unclassified only pairs that cannot meet: a pair whose
-closed axis-aligned bounding boxes (AABBs) are disjoint and, in a complex
-that apply_schedule refined, a pair of children of two disjoint parents or
-with a child that misses its parents' contact (sibling pairs are swept).
-The report is computed once per complex and kept on it; a consumer given it
-with a complex of other bricks raises StaleReportError. The brick graph has
-a node per brick and an arc per pair sharing a single whole face of each. A
-corner is a node of degree three or less.
+closed axis-aligned bounding boxes (AABBs) are disjoint. The report is
+computed once per complex and kept on it; a consumer given it with a complex
+of other bricks raises StaleReportError. The brick graph has a node per
+brick and an arc per pair sharing a single whole face of each. A corner is a
+node of degree three or less.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ class PairBudgetError(ValueError):
 
 
 # (per brick, base): bounds validate's work on hostile input, such as many
-# copies of one brick; properly joined complexes classify far fewer pairs
+# copies of one brick; the suite's proper complexes use at most half of it
 PAIR_BUDGET = (64, 10_000)
 
 
@@ -51,10 +49,7 @@ class BrickComplex:
 
     bricks: tuple[Brick, ...]
     name: str = ""
-    # set by apply_schedule: (the input's report, each input brick's range of
-    # child indices, in the order of the report's bricks). It is no __init__
-    # argument, so a dataclasses.replace copy, which may hold other bricks,
-    # has none.
+    # set and cleared by apply_schedule around its own validate (see there)
     _lineage: Optional[tuple] = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -170,15 +165,17 @@ def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
 
 def _lineage_pairs(bricks: tuple[Brick, ...], report: ValidationReport, spans):
     """Yield (i, j), i < j, for every pair of children that can meet, given
-    the report of their parents and each parent's range of child indices.
+    the properly joined report of their parents and each parent's range of
+    child indices.
 
     Each child lies inside its parent, so for c a child of P and d one of Q,
     c ∩ d lies in c ∩ (P ∩ Q). Siblings are swept. Children of P and Q are
-    paired only if P and Q are a contact of the report and, unless it is
-    improper, only those that meet the bounding box of P ∩ Q in their
-    parent's frame coordinates. A child's generators are positive multiples
-    of its parent's, so it has its parent's frame, and that test is three
-    closed interval overlaps. Every other pair is DISJOINT.
+    paired only if P and Q are a contact of the report, and only those that
+    meet the bounding box of P ∩ Q in their parent's frame coordinates. P ∩ Q
+    is a point, a whole edge or a whole face of each, so the same ends bound
+    it in both frames. A child's generators are positive multiples of its
+    parent's, so it has its parent's frame, and that test is three closed
+    interval overlaps. Every other pair is DISJOINT.
     """
     for r in spans:
         for i, j in _aabb_meeting_pairs(bricks[r.start:r.stop]):
@@ -187,14 +184,12 @@ def _lineage_pairs(bricks: tuple[Brick, ...], report: ValidationReport, spans):
     for pc in report.contacts:
         (p, near_p), (q, near_q) = parents[pc.a], parents[pc.b]
         contact = pc.contact
-        if not contact.improper:
-            if contact.kind is ContactKind.WHOLE_FACE:
-                at_p = p.face_polygon(contact.face_a)[::2]
-                at_q = q.face_polygon(contact.face_b)[::2]
-            else:
-                at_p = at_q = contact.points
-            near_p = _meeting(bricks, near_p, p, at_p)
-            near_q = _meeting(bricks, near_q, q, at_q)
+        if contact.kind is ContactKind.WHOLE_FACE:
+            ends = p.face_polygon(contact.face_a)[::2]
+        else:
+            ends = contact.points
+        near_p = _meeting(bricks, near_p, p, ends)
+        near_q = _meeting(bricks, near_q, q, ends)
         for i in near_p:
             for j in near_q:
                 yield (i, j) if i < j else (j, i)
@@ -249,10 +244,6 @@ def validate(complex: BrickComplex) -> ValidationReport:
     Pairs whose closed AABBs are disjoint are skipped unclassified: a ∩ b
     lies inside the intersection of the two AABBs, so each such pair is
     DISJOINT, and the report equals a classification of all n(n-1)/2 pairs.
-    A complex that apply_schedule refined classifies fewer: sibling pairs
-    whose AABBs meet, and pairs of children of two touching parents in which
-    each child meets the parents' contact; every other pair of children is
-    DISJOINT because each child lies inside its parent.
     Each pass keeps its own memo of skew contacts by translation, so a skew
     pair that repeats an earlier one up to translation is not clipped again;
     the memo is per pass and per thread or context, and is dropped when the

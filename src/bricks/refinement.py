@@ -153,11 +153,14 @@ def apply_schedule(complex: BrickComplex, schedule: RefinementSchedule) -> Brick
     """Replace each scheduled brick by its children (unlisted bricks Keep).
 
     Exact postconditions, checked: total volume is conserved, and a
-    properly joined input yields a properly joined output. The output keeps
-    the input's report and each input brick's range of children, so that
-    validating it (here, or later for an improper input) classifies only
-    sibling pairs and the children of touching parents that meet the
-    parents' contact: every other pair of children is disjoint.
+    properly joined input yields a properly joined output. That check
+    validates the output once through its lineage, the input's report and
+    each input brick's range of children: it classifies only sibling pairs
+    and the pairs of children of two touching parents in which each child
+    meets the parents' contact, because every child lies inside its parent
+    and every other pair of children is disjoint. The output keeps its
+    report but not the lineage. An improper input's output is a plain
+    complex, which validate sweeps.
     """
     unknown = set(schedule) - set(complex.labels)
     if unknown:
@@ -171,13 +174,14 @@ def apply_schedule(complex: BrickComplex, schedule: RefinementSchedule) -> Brick
         spans.append(range(start, len(out)))
     refined = BrickComplex(tuple(out), name=complex.name)
     report = validate(complex)
-    object.__setattr__(refined, "_lineage", (report, tuple(spans)))
     before = sum(b.det for b in complex.bricks)
     after = sum(b.det for b in refined.bricks)
     if before != after:
         raise RefinementError(f"volume not conserved: {before} -> {after}")
     if report.properly_joined:
+        object.__setattr__(refined, "_lineage", (report, tuple(spans)))
         bad = validate(refined).improper_pairs
+        object.__setattr__(refined, "_lineage", None)
         if bad:
             pc = bad[0]
             raise RefinementError(

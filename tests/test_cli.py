@@ -225,6 +225,23 @@ class TestBuild:
         code, _, err = run(capsys, "build", "not-a-fixture")
         assert code == 2
 
+    def test_default_cube_side_is_four(self, capsys):
+        for name in ("zz-immersed", "zz-embedded"):
+            assert run(capsys, "build", name) == run(
+                capsys, "build", name, "--cube-side", "4")
+
+    @pytest.mark.parametrize("argv", [
+        ["cube", "--cube-side", "3"],
+        ["random-3", "--cube-side", "-1"],
+        ["block-2x2x2", "--cube-side", "4"],
+    ])
+    def test_cube_side_on_a_fixture_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, "build", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: --cube-side applies only to zz-immersed and zz-embedded"]
+
 
 class TestExportObj:
     def test_cube(self, capsys, tmp_path):

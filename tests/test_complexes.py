@@ -387,7 +387,8 @@ def test_suite_complexes_classify_at_most_half_the_pair_budget(monkeypatch):
     every complex of at most 133 bricks (the fixtures, the random polycubes
     and test_surface's overlapping boxes, 2 to 9 each); the larger ones are
     counted as they validate, through their lineage where apply_schedule
-    refined them, and by their sweep as a fresh parse would validate them.
+    refined a properly joined input, and by their sweep as a fresh parse
+    would validate them.
     The worst is the sweep of zz-embedded refined three times, 74,611 pairs
     for 2,688 bricks."""
     shares = []

@@ -1,12 +1,15 @@
-"""validate's lineage pair source for a complex that apply_schedule refined.
+"""The lineage pair source that apply_schedule validates its output with.
 
 Every child lies inside its parent, so a pair of children whose parents are
 disjoint is DISJOINT, and so is a pair in which one child misses its
-parents' contact. A refined complex classifies only sibling pairs and the
-remaining children of touching parents. These tests check its report against
-a full validate of a fresh copy of the same bricks, down to scalar types, on
-standard and random schedules, and put floors on what the corpus exercises:
-each reason a pair is skipped and each kind of parent contact.
+parents' contact. When the input is properly joined, apply_schedule
+validates its output once through the lineage, classifying only sibling
+pairs and the remaining children of touching parents, and returns it
+without the lineage. These tests check that report, and the sweep of an
+improper input's output, against a full validate of a fresh copy of the same
+bricks, down to scalar types, on standard and random schedules and on
+rational frames, and put floors on what the corpus exercises: each reason a
+pair is skipped and each kind of parent contact.
 """
 
 import dataclasses
@@ -17,6 +20,7 @@ from functools import cache
 
 import pytest
 
+from bricks import complexes
 from bricks.complexes import (
     BrickComplex,
     _aabb_meeting_pairs,
@@ -43,10 +47,16 @@ from bricks.refinement import (
 
 HALF = Fraction(1, 2)
 FRACTIONS = sorted({Fraction(n, d) for d in (2, 3, 4, 5) for n in range(1, d)})
-# integer shears of det +1 and -1 that move every axis off-axis but one
+# affine maps (linear part, translation): integer shears of det +1 and -1
+# that move every axis off-axis but one, and a rational map of det -103/105,
+# with denominators 3, 5 and 7, that moves every axis off-axis and translates
+# by a rational vector
 SHEARS = {
-    "det+1": ((1, 1, 1), (0, 1, 1), (0, 0, 1)),
-    "det-1": ((0, 1, 1), (1, 0, 0), (0, 0, 1)),
+    "det+1": (((1, 1, 1), (0, 1, 1), (0, 0, 1)), (0, 0, 0)),
+    "det-1": (((0, 1, 1), (1, 0, 0), (0, 0, 1)), (0, 0, 0)),
+    "rational": (((0, Fraction(2, 5), 1), (Fraction(1, 3), 1, 0),
+                  (1, 0, Fraction(-1, 7))),
+                 (HALF, Fraction(-2, 3), Fraction(3, 11))),
 }
 
 
@@ -63,10 +73,12 @@ def linear(m):
     return lambda p: vec3(*(sum(r[k] * p[k] for k in range(3)) for r in m))
 
 
-def sheared(c: BrickComplex, m) -> BrickComplex:
-    apply = linear(m)
+def sheared(c: BrickComplex, affine) -> BrickComplex:
+    m, t = affine
+    apply, shift = linear(m), vec3(*t)
     return BrickComplex(
-        tuple(Brick(b.id, apply(b.origin), apply(b.u), apply(b.v), apply(b.w))
+        tuple(Brick(b.id, apply(b.origin) + shift, apply(b.u), apply(b.v),
+                    apply(b.w))
               for b in c),
         name=c.name,
     )
@@ -75,7 +87,7 @@ def sheared(c: BrickComplex, m) -> BrickComplex:
 def with_overlap(c: BrickComplex) -> BrickComplex:
     """c and a brick overlapping its first one in volume. The complex is then
     improper, so apply_schedule leaves its refinement unvalidated, however
-    improper that is, and validate runs on it later."""
+    improper that is, and validate sweeps it later."""
     b = c.bricks[0]
     shift = (b.u + b.v + b.w).scale(HALF)
     extra = Brick("overlap", b.origin + shift, b.u, b.v, b.w)
@@ -120,13 +132,13 @@ def standard_chain(c: BrickComplex, times: int):
     return out
 
 
-def sheared_standard_chain(c: BrickComplex, m, times: int):
-    """standard_chain of c sheared by m. A shear changes which bricks are
-    cube-shaped and which generator is longest, so each step takes its
+def sheared_standard_chain(c: BrickComplex, affine, times: int):
+    """standard_chain of c under the affine map. A shear changes which bricks
+    are cube-shaped and which generator is longest, so each step takes its
     schedule from the unsheared complex, each quarter direction carried to
     the sheared brick's generator that is the image of the long one."""
-    apply = linear(m)
-    sc, out = sheared(c, m), []
+    apply = linear(affine[0])
+    sc, out = sheared(c, affine), []
     for _ in range(times):
         schedule = {}
         for b, sb in zip(c, sc):
@@ -166,39 +178,61 @@ def randomly_refined(c: BrickComplex, seed: int, times: int):
     return out
 
 
-# name -> (parent, refined) pairs; zz-immersed and the random schedules on
-# improper inputs are validated only when the test asks
+# name -> (parent, refined) pairs; the refinements of zz-immersed and of
+# the random schedules on improper inputs are swept only when a test
+# validates them
 GROUPS = {
     "zz-embedded-4": lambda: standard_chain(zz(4), 2),
     "zz-embedded-3": lambda: standard_chain(zz(3), 2),
-    **{f"zz-embedded-4-{name}": (lambda m=m: sheared_standard_chain(zz(4), m, 2))
-       for name, m in SHEARS.items()},
+    **{f"zz-embedded-4-{name}": (lambda a=a: sheared_standard_chain(zz(4), a, 2))
+       for name, a in SHEARS.items()},
     "zz-immersed": lambda: standard_chain(zz_immersed(), 2),
     "zz-random": lambda: [*randomly_refined(with_overlap(zz(4)), 1, 2),
                           *randomly_refined(zz_immersed(), 2, 1)],
     "polycubes": polycubes,
-    **{f"polycubes-{name}": (lambda m=m: polycubes(lambda c: sheared(c, m)))
-       for name, m in SHEARS.items()},
+    **{f"polycubes-{name}": (lambda a=a: polycubes(lambda c: sheared(c, a)))
+       for name, a in SHEARS.items()},
 }
 
-cases = cache(lambda name: GROUPS[name]())
+
+@cache
+def cases(name):
+    """(parent, refined, lineage) for each refinement of the group, where
+    lineage is the (report, spans) that apply_schedule's validate of refined
+    read, or None if it read none."""
+    read, kept = {}, []
+
+    def recording(bricks, report, spans):
+        kept.append(bricks)  # alive, so no other tuple takes its id
+        read[id(bricks)] = report, spans
+        return _lineage_pairs(bricks, report, spans)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_lineage_pairs", recording)
+        pairs = GROUPS[name]()
+    return [(parent, refined, read.get(id(refined.bricks)))
+            for parent, refined in pairs]
 
 
 @pytest.mark.parametrize("name", GROUPS)
 def test_lineage_report_equals_a_full_validate(name):
-    for parent, refined in cases(name):
-        assert refined._lineage[0] is validate(parent)
+    for parent, refined, lineage in cases(name):
+        assert refined._lineage is None
+        if validate(parent).properly_joined:
+            assert lineage[0] is validate(parent)
+        else:
+            assert lineage is None
         report = validate(refined)
         fresh = BrickComplex(refined.bricks, name=refined.name)
         assert fresh == refined and repr(fresh) == repr(refined)
         assert typed_report(report) == typed_report(validate(fresh))
 
 
-def skip_reasons(refined: BrickComplex) -> Counter:
+def skip_reasons(refined: BrickComplex, lineage) -> Counter:
     """Swept pairs of refined that its lineage does not yield, by reason:
     "parents apart", or the kind of the parents' contact that a child
     misses."""
-    report, spans = refined._lineage
+    report, spans = lineage
     yielded = list(_lineage_pairs(refined.bricks, report, spans))
     assert all(i < j for i, j in yielded) and len(set(yielded)) == len(yielded)
     parent_of = {k: p.id for p, r in zip(report.bricks, spans) for k in r}
@@ -214,10 +248,10 @@ def skip_reasons(refined: BrickComplex) -> Counter:
 def test_corpus_skips_pairs_for_each_reason_and_has_each_parent_contact():
     reasons, kinds = Counter(), Counter()
     for name in GROUPS:
-        for parent, refined in cases(name):
-            reasons += skip_reasons(refined)
-            kinds.update("improper" if pc.contact.improper else pc.contact.kind
-                         for pc in validate(parent).contacts)
+        for _, refined, lineage in cases(name):
+            if lineage is not None:
+                reasons += skip_reasons(refined, lineage)
+                kinds.update(pc.contact.kind for pc in lineage[0].contacts)
     assert reasons["parents apart"] >= 10_000
     assert reasons[ContactKind.WHOLE_FACE] >= 5_000
     assert reasons[ContactKind.WHOLE_EDGE] >= 5_000
@@ -227,21 +261,26 @@ def test_corpus_skips_pairs_for_each_reason_and_has_each_parent_contact():
     assert kinds[ContactKind.POINT] >= 800
     assert kinds[ContactKind.WHOLE_EDGE] >= 2_000
     assert kinds[ContactKind.WHOLE_FACE] >= 1_500
-    assert kinds["improper"] >= 200
+    assert set(kinds) == {ContactKind.POINT, ContactKind.WHOLE_EDGE,
+                          ContactKind.WHOLE_FACE}
 
 
 def test_refined_zz_embedded_classifies_only_its_contacts(monkeypatch):
-    (_, c), = standard_chain(zz_embedded(), 1)
-    validate(c)
     calls = []
 
     def counting(a, b):
         calls.append((a.id, b.id))
         return classify_contact(a, b)
 
-    monkeypatch.setattr("bricks.complexes.classify_contact", counting)
-    refined = apply_schedule(c, standard_zz_schedule(c))
-    assert len(calls) == len(validate(refined).contacts) == 3972
+    for side in (4, 3):
+        (_, c), = standard_chain(zz(side), 1)
+        validate(c)
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr("bricks.complexes.classify_contact", counting)
+            refined = apply_schedule(c, standard_zz_schedule(c))
+        assert refined._lineage is None
+        assert len(calls) == len(validate(refined).contacts) == 3972
 
 
 def test_a_copy_with_other_bricks_is_swept():
