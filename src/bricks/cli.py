@@ -54,13 +54,24 @@ class CliError(Exception):
 
 
 def _read(path: str, parse):
-    """parse() the UTF-8 text of a file; any failure is an input error."""
+    """parse() the UTF-8 text of a file; any failure is an input error. A
+    byte that is not UTF-8 is placed by line and column, lines ending at
+    "\\n" as the parsers count them."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse(handle.read())
+        with open(path, "rb") as handle:
+            data = handle.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # parse errors and undecodable bytes alike
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, start) + 1
+        column = len(data[start:exc.start].decode("utf-8")) + 1
+        raise CliError(f"{path}: line {line}, column {column}: invalid UTF-8 "
+                       f"byte 0x{data[exc.start]:02x}") from None
+    try:
+        return parse(text)
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 

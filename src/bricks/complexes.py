@@ -105,7 +105,7 @@ def brick_complex(bricks: Iterable[Brick], name: str = "") -> BrickComplex:
     return BrickComplex(tuple(bricks), name=name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairContact:
     a: str
     b: str
@@ -148,19 +148,20 @@ class ValidationReport:
 def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
     """Yield (i, j), i < j, for every pair whose closed AABBs meet.
 
-    Sort-and-sweep (Baraff 1992): visit bricks by x-low, drop active bricks
-    whose x-high is below it, and test the y and z intervals of the rest.
+    Sort-and-sweep (Baraff 1992): visit the flat rows (xlo, xhi, ylo, yhi,
+    zlo, zhi, k) of the bricks k by x-low, drop active rows whose x-high is
+    below it, and test the y and z intervals of the rest.
     """
-    boxes = [b.aabb for b in bricks]
-    active: list[int] = []
-    for j in sorted(range(len(bricks)), key=lambda k: boxes[k][0][0]):
-        (xlo, _), (ylo, yhi), (zlo, zhi) = boxes[j]
-        active = [i for i in active if boxes[i][0][1] >= xlo]
-        for i in active:
-            _, (ilo, ihi), (klo, khi) = boxes[i]
+    rows = [(*x, *y, *z, k) for k, (x, y, z) in enumerate(b.aabb for b in bricks)]
+    rows.sort(key=lambda row: row[0])
+    active: list[tuple] = []
+    for row in rows:
+        xlo, _, ylo, yhi, zlo, zhi, j = row
+        active = [r for r in active if r[1] >= xlo]
+        for _, _, ilo, ihi, klo, khi, i in active:
             if ilo <= yhi and ylo <= ihi and klo <= zhi and zlo <= khi:
                 yield (i, j) if i < j else (j, i)
-        active.append(j)
+        active.append(row)
 
 
 def _lineage_pairs(bricks: tuple[Brick, ...], report: ValidationReport, spans):

@@ -42,8 +42,10 @@ class ParseError(ValueError):
 
 
 def _tokens(text: str):
-    """Yield (line_number, raw_line, tokens) for significant lines."""
-    for n, raw in enumerate(text.splitlines(), start=1):
+    """Yield (line_number, raw_line, tokens) for significant lines. Lines
+    end at "\\n" only, as wc -l and grep -n count them; each is stripped, so
+    "\\r\\n" ends a line too."""
+    for n, raw in enumerate(text.split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             yield n, raw, stripped.split()

@@ -241,8 +241,9 @@ class Brick:
 
     @cached_property
     def vertices(self) -> tuple[Point3, ...]:
-        o = self.origin
-        return tuple(o + off for off in _shape(self.u, self.v, self.w)[3])
+        ox, oy, oz = self.origin
+        return tuple(Vec3(_norm(ox + x), _norm(oy + y), _norm(oz + z))
+                     for x, y, z in _shape(self.u, self.v, self.w)[3])
 
     @cached_property
     def edge_index(self) -> dict[tuple[Point3, Point3], int]:
@@ -357,7 +358,7 @@ IMPROPER_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contact:
     """Classification of the intersection of a brick pair.
 
@@ -498,7 +499,7 @@ def _coframed_contact(a: Brick, b: Brick) -> Contact:
     vertex codes of the contact points."""
     open_j, whole, code, fa, fb = [], True, 0, None, None
     for (_, alo, ahi, ja, fla), (_, blo, bhi, jb, flb) in zip(a._frame[1], b._frame[1]):
-        lo, hi = max(alo, blo), min(ahi, bhi)
+        lo, hi = alo if alo > blo else blo, ahi if ahi < bhi else bhi
         if lo > hi:
             return DISJOINT
         if lo < hi:
@@ -508,7 +509,7 @@ def _coframed_contact(a: Brick, b: Brick) -> Contact:
             sa, sb = (lo == ahi) != fla, (lo == bhi) != flb
             code |= sa << (2 - ja)
             fa, fb = 2 * ja + sa, 2 * jb + sb
-    vs, dim = a.vertices, len(open_j)
+    dim = len(open_j)
     if dim == 3:
         return Contact(ContactKind.VOLUME_OVERLAP)
     if dim == 2:
@@ -517,10 +518,11 @@ def _coframed_contact(a: Brick, b: Brick) -> Contact:
         return Contact(ContactKind.PARTIAL_FACE)
     if dim == 1:
         if whole:
+            vs = a.vertices
             p, q = vs[code], vs[code | 4 >> open_j[0]]
-            return Contact(ContactKind.WHOLE_EDGE, points=(min(p, q), max(p, q)))
+            return Contact(ContactKind.WHOLE_EDGE, points=(p, q) if p < q else (q, p))
         return Contact(ContactKind.PARTIAL_EDGE)
-    return Contact(ContactKind.POINT, points=(vs[code],))
+    return Contact(ContactKind.POINT, points=(a.vertices[code],))
 
 
 def _skew_contact(a: Brick, b: Brick) -> Contact:

@@ -1,5 +1,8 @@
 """Complex validation, the brick graph, degrees, and corners."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -35,6 +38,7 @@ from bricks.constructions import (
 )
 from bricks.geometry import (
     Brick,
+    Contact,
     ContactKind,
     GeometryError,
     brick_from_box,
@@ -264,6 +268,59 @@ def sheared(c, m=((1, 1, 1), (0, 1, 1), (0, 0, 1))):
         Brick(b.id, apply(b.origin), apply(b.u), apply(b.v), apply(b.w))
         for b in c
     )
+
+
+class TestSlottedRecords:
+    """Contact and PairContact are frozen dataclasses with __slots__: no
+    per-instance dict, yet immutable, hashable and picklable as before."""
+
+    SKEW = {
+        # one frame, Fraction coordinates: every pair co-framed
+        "sheared-polycube": lambda: sheared(
+            random_rectilinear(3),
+            ((1, Fraction(1, 2), 0), (0, 1, Fraction(1, 3)), (0, 0, 1))),
+        # eleven frames: co-framed and skew pairs
+        "zz-embedded-7/2": lambda: zz_embedded(ZZParams(cube_side=Fraction(7, 2))),
+    }
+
+    @staticmethod
+    def typed(report):
+        return [(pc.a, pc.b, pc.contact.kind, pc.contact.face_a, pc.contact.face_b,
+                 [[(type(x), x) for x in p] for p in pc.contact.points])
+                for pc in report.contacts]
+
+    def test_no_instance_dict_and_frozen_fields(self):
+        contact = Contact(ContactKind.POINT, (vec3(0, 0, 0),))
+        pc = PairContact("a", "b", contact)
+        for record in (contact, pc):
+            assert not hasattr(record, "__dict__")
+            for name in (f.name for f in dataclasses.fields(record)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, None)
+
+    def test_equal_values_hash_equally(self):
+        def make():
+            p, q = vec3(0, 0, Fraction(1, 2)), vec3(1, 0, Fraction(1, 2))
+            return PairContact("a", "b", Contact(ContactKind.WHOLE_EDGE, (p, q)))
+
+        first, second = make(), make()
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert hash(first.contact) == hash(second.contact)
+        assert len({first, second}) == 1
+
+    @pytest.mark.parametrize("name", sorted(SKEW))
+    def test_skew_report_survives_pickle_and_deepcopy(self, name):
+        c = self.SKEW[name]()
+        assert any(b.box is None for b in c)
+        report = validate(c)
+        assert any(pc.contact.face_a is not None for pc in report.contacts)
+        assert any(type(x) is Fraction
+                   for pc in report.contacts for p in pc.contact.points for x in p)
+        for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
+            assert copied == report
+            assert self.typed(copied) == self.typed(report)
+            assert copied.bricks == report.bricks
 
 
 class TestBroadPhaseMatchesBruteForce:

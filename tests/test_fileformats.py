@@ -116,6 +116,16 @@ class TestComplexParseErrors:
         with pytest.raises(ParseError, match="no bricks"):
             parse_complex("# nothing here\n")
 
+    @pytest.mark.parametrize("sep", ["\x0c", "\u2028", "\x85"], ids=ascii)
+    def test_lines_end_at_newline_only(self, sep):
+        # str.splitlines() also ends a line at each sep; wc -l and grep -n
+        # do not, and a sep is whitespace between tokens
+        text = (f"brick a 0 0 0 1 0 0 0 1 0 0 0 1{sep}\n"
+                f"brick b 1 0 0.5 1 0 0 0 1{sep}0 0 0 1\n")
+        with pytest.raises(ParseError, match=r"^line 2, column 13: "):
+            parse_complex(text)
+        assert parse_complex(text.replace("0.5", "0")).labels == ("a", "b")
+
     def test_comments_and_blank_lines_ignored(self):
         text = "\n# header\nname t\n\nbrick a 0 0 0 1 0 0 0 1 0 0 0 1  # unit\n"
         assert len(parse_complex(text)) == 1
