@@ -2,7 +2,8 @@
 
 A complex is a finite labeled list of bricks. Validation classifies pairs
 exactly, and skips unclassified only pairs that cannot meet: a pair whose
-closed axis-aligned bounding boxes (AABBs) are disjoint. The report is
+closed axis-aligned bounding boxes (AABBs) are disjoint; the others come
+from one sort by x-low and a forward scan of each box. The report is
 computed once per complex and kept on it; a consumer given it with a complex
 of other bricks raises StaleReportError. The brick graph has a node per
 brick and an arc per pair sharing a single whole face of each. A corner is a
@@ -11,6 +12,7 @@ node of degree three or less.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -145,23 +147,21 @@ class ValidationReport:
             raise StaleReportError("validation report was built from other bricks")
 
 
-def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
-    """Yield (i, j), i < j, for every pair whose closed AABBs meet.
-
-    Sort-and-sweep (Baraff 1992): visit the flat rows (xlo, xhi, ylo, yhi,
-    zlo, zhi, k) of the bricks k by x-low, drop active rows whose x-high is
-    below it, and test the y and z intervals of the rest.
+def _aabb_meeting_pairs(bricks: tuple[Brick, ...], indices=None):
+    """Yield (i, j), i < j, for every pair of the bricks at indices (default:
+    all) whose closed AABBs meet, touching included. Sort and scan: the rows
+    (xlo, xhi, ylo, yhi, zlo, zhi, k) are sorted once as whole tuples, so ties
+    break alike on every run; the rows after row n that meet it in x end at
+    bisect_right(xlos, xhi), and each is tested on closed y and z intervals.
     """
-    rows = [(*x, *y, *z, k) for k, (x, y, z) in enumerate(b.aabb for b in bricks)]
-    rows.sort(key=lambda row: row[0])
-    active: list[tuple] = []
-    for row in rows:
-        xlo, _, ylo, yhi, zlo, zhi, j = row
-        active = [r for r in active if r[1] >= xlo]
-        for _, _, ilo, ihi, klo, khi, i in active:
-            if ilo <= yhi and ylo <= ihi and klo <= zhi and zlo <= khi:
+    if indices is None:
+        indices = range(len(bricks))
+    rows = sorted((*x, *y, *z, k) for k in indices for x, y, z in [bricks[k].aabb])
+    xlos = [row[0] for row in rows]
+    for n, (_, xhi, ylo, yhi, zlo, zhi, i) in enumerate(rows, 1):
+        for _, _, jlo, jhi, klo, khi, j in rows[n:bisect_right(xlos, xhi, n)]:
+            if jlo <= yhi and ylo <= jhi and klo <= zhi and zlo <= khi:
                 yield (i, j) if i < j else (j, i)
-        active.append(row)
 
 
 def _lineage_pairs(bricks: tuple[Brick, ...], report: ValidationReport, spans):
@@ -179,8 +179,7 @@ def _lineage_pairs(bricks: tuple[Brick, ...], report: ValidationReport, spans):
     interval overlaps. Every other pair is DISJOINT.
     """
     for r in spans:
-        for i, j in _aabb_meeting_pairs(bricks[r.start:r.stop]):
-            yield r.start + i, r.start + j
+        yield from _aabb_meeting_pairs(bricks, r)
     parents = {p.id: (p, r) for p, r in zip(report.bricks, spans)}
     for pc in report.contacts:
         (p, near_p), (q, near_q) = parents[pc.a], parents[pc.b]

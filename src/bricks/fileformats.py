@@ -73,7 +73,7 @@ def _parse_scalar(tok: str, line: int, raw: str, index: int) -> Scalar:
 # --- brick complex files ----------------------------------------------------
 #
 # Grammar (one directive per line, '#' comments):
-#   name <identifier>
+#   name <identifier>          (at most once)
 #   brick <id> <ox> <oy> <oz> <ux> <uy> <uz> <vx> <vy> <vz> <wx> <wy> <wz>
 # Scalars are integers or exact fractions "n/d". Ids must be unique and
 # contain no whitespace. Bricks with zero volume are rejected.
@@ -87,6 +87,9 @@ def parse_complex(text: str) -> BrickComplex:
         if toks[0] == "name":
             if len(toks) != 2:
                 raise ParseError("name takes exactly one token", line)
+            if name:
+                raise ParseError(f"second name {_quoted(toks[1])}", line,
+                                 _column_of(raw, 1))
             name = toks[1]
         elif toks[0] == "brick":
             if len(toks) != 14:
@@ -134,7 +137,7 @@ def emit_complex(complex: BrickComplex) -> str:
 # --- piece table files ------------------------------------------------------
 #
 # One row per line: <label> <multiplicity> <vertices> <edges> <faces>
-# Labels are single tokens; counts are nonnegative integers.
+# Labels are single tokens; counts are nonnegative integers in ASCII digits.
 
 
 def parse_piece_table(text: str) -> PieceTable:
@@ -147,8 +150,10 @@ def parse_piece_table(text: str) -> PieceTable:
         numbers = []
         for i, t in enumerate(toks[1:], 1):
             try:
+                if not (t.isascii() and t.removeprefix("-").isdigit()):
+                    raise ValueError(t)  # int() alone takes "+4", "1_2" and "٨"
                 numbers.append(int(t))
-            except ValueError as exc:
+            except ValueError as exc:  # or past int()'s digit limit
                 raise ParseError(f"bad integer in piece row: {_quoted(t)}", line,
                                  _column_of(raw, i)) from exc
         try:
@@ -158,13 +163,6 @@ def parse_piece_table(text: str) -> PieceTable:
     if not rows:
         raise ParseError("empty piece table", 1)
     return PieceTable(rows=tuple(rows))
-
-
-def emit_piece_table(table: PieceTable) -> str:
-    return "".join(
-        f"{r.label} {r.multiplicity} {r.vertices} {r.edges} {r.faces}\n"
-        for r in table.rows
-    )
 
 
 # --- schedule files ---------------------------------------------------------

@@ -1,0 +1,106 @@
+"""Affine invariance as an oracle for multi-frame complexes.
+
+An invertible rational affine map f(p) = M p + t sends each brick to a brick
+and a ∩ b to f(a ∩ b). So a validation report keeps, per label pair, its
+contact kind, and each contact point p becomes f(p). A Brick is stored with
+det > 0, so under a map with det M < 0 construction swaps two generators and
+face indices may change: whole faces are compared as the sets of their
+mapped corners. The brick graph, V/E/F, chi and genus do not change.
+
+The corpus is zz-embedded at cube side 4 refined once, 72 bricks in frames
+that its construction builds, taken to frames and denominators that no other
+test builds: one map has entries with denominators 3, 5 and 7, and one has
+det -1. Each map has a rational translation.
+"""
+
+from fractions import Fraction
+from functools import cache
+
+import pytest
+
+from bricks.complexes import brick_complex, brick_graph, validate
+from bricks.constructions import ZZParams, zz_embedded
+from bricks.geometry import Brick, ContactKind, det3, vec3
+from bricks.refinement import apply_schedule, standard_zz_schedule
+from bricks.surface import surface_stats
+
+F = Fraction
+
+MAPS = {
+    "denominators-3-5-7": (((1, F(1, 3), 0), (0, 1, F(2, 5)), (F(1, 7), 0, 1)),
+                           (F(1, 2), F(-2, 3), F(5, 7))),
+    "det-minus-1": (((1, 2, 0), (0, -1, 0), (0, 1, 1)),
+                    (F(1, 3), F(1, 4), F(-1, 5))),
+}
+
+
+def linear(m):
+    return lambda p: vec3(*(sum(r[k] * p[k] for k in range(3)) for r in m))
+
+
+def affine(name):
+    m, t = MAPS[name]
+    apply, shift = linear(m), vec3(*t)
+    return lambda p: apply(p) + shift
+
+
+@cache
+def original():
+    c = zz_embedded(ZZParams(cube_side=4))
+    return apply_schedule(c, standard_zz_schedule(c))
+
+
+@cache
+def image(name):
+    m, _ = MAPS[name]
+    apply, move = linear(m), affine(name)
+    return brick_complex(
+        (Brick(b.id, move(b.origin), apply(b.u), apply(b.v), apply(b.w))
+         for b in original()),
+        name=original().name,
+    )
+
+
+def test_maps_are_invertible_with_the_stated_determinants_and_denominators():
+    dets = {name: det3(*(vec3(*r) for r in m)) for name, (m, _) in MAPS.items()}
+    assert dets["det-minus-1"] == -1
+    assert dets["denominators-3-5-7"] == F(107, 105)
+    coordinates = [x for b in image("denominators-3-5-7")
+                   for p in (b.origin, *b.generators) for x in p]
+    for d in (3, 5, 7):
+        assert any(type(x) is Fraction and x.denominator % d == 0
+                   for x in coordinates)
+    # a map with det < 0 makes construction swap two generators of each brick
+    for b, c in zip(original(), image("det-minus-1")):
+        assert c.v == linear(MAPS["det-minus-1"][0])(b.w)
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_contacts_map_to_contacts(name):
+    before, after = validate(original()), validate(image(name))
+    assert [(pc.a, pc.b, pc.contact.kind) for pc in after.contacts] == [
+        (pc.a, pc.b, pc.contact.kind) for pc in before.contacts]
+    kinds = {pc.contact.kind for pc in before.contacts}
+    assert kinds == {ContactKind.POINT, ContactKind.WHOLE_EDGE, ContactKind.WHOLE_FACE}
+    f = affine(name)
+    old = {b.id: b for b in original()}
+    new = {b.id: b for b in image(name)}
+    for pc, qc in zip(before.contacts, after.contacts):
+        x, y = pc.contact, qc.contact
+        assert set(map(f, x.points)) == set(y.points)
+        if x.kind is ContactKind.WHOLE_FACE:
+            for label, face, mapped_face in ((pc.a, x.face_a, y.face_a),
+                                             (pc.b, x.face_b, y.face_b)):
+                assert (set(map(f, old[label].face_polygon(face)))
+                        == set(new[label].face_polygon(mapped_face)))
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_graph_and_topology_do_not_change(name):
+    c, d = original(), image(name)
+    g, h = brick_graph(c, validate(c)), brick_graph(d, validate(d))
+    assert (h.nodes, h.arcs) == (g.nodes, g.arcs)
+    s, t = surface_stats(c, validate(c)), surface_stats(d, validate(d))
+    counts = (s.vertex_count, s.edge_count, s.face_count, s.chi, s.genus)
+    assert (t.vertex_count, t.edge_count, t.face_count, t.chi, t.genus) == counts
+    assert (s.chi, s.genus) == (-4, 3)

@@ -9,8 +9,6 @@ import pytest
 
 from bricks import cli
 from bricks.cli import build_parser, main
-from bricks.constructions import table_buttressed_octahedron, table_zz
-from bricks.fileformats import emit_piece_table
 
 
 def run(capsys, *argv):
@@ -184,14 +182,14 @@ class TestGenus:
 class TestTableChi:
     def test_builtin_tables(self, capsys, tmp_path):
         t1 = tmp_path / "t1.table"
-        t1.write_text(emit_piece_table(table_buttressed_octahedron()))
+        t1.write_text("ring-quarter 4 20 40 16\narch 2 30 66 32\nbuttress 8 0 4 4\n")
         code, doc, _ = run_json(capsys, "table-chi", str(t1))
         assert code == 0
         assert (doc["V"], doc["E"], doc["F"]) == (140, 324, 160)
         assert doc["chi"] == -24 and doc["genus"] == 13
 
         t2 = tmp_path / "t2.table"
-        t2.write_text(emit_piece_table(table_zz()))
+        t2.write_text("cube 4 8 12 3\nconnector 6 0 4 4\n")
         code, doc, _ = run_json(capsys, "table-chi", str(t2))
         assert (doc["V"], doc["E"], doc["F"]) == (32, 72, 36)
         assert doc["chi"] == -4 and doc["genus"] == 3
@@ -677,9 +675,16 @@ def test_installed_command_exits_two_on_a_number_too_long_to_print(tmp_path):
         ("validate", CUBE_LINE + "   frob 1 2\n", 2, 4, "unknown directive 'frob'"),
         ("schedule", "a keep\n  a keep\n", 2, 3, "duplicate schedule entry for 'a'"),
         ("schedule", "a  frobnicate\n", 1, 4, "bad schedule operator 'frobnicate'"),
+        ("validate", "name a\n" + CUBE_LINE + "name  b\n", 3, 7, "second name 'b'"),
+        ("table-chi", "cube +4 8 12 3\n", 1, 6, "bad integer in piece row: '+4'"),
+        ("table-chi", "cube 4 1_2 12 3\n", 1, 8, "bad integer in piece row: '1_2'"),
+        ("table-chi", "cube 4 8 \u0668 3\n", 1, 10,
+         "bad integer in piece row: '\u0668'"),
+        ("table-chi", "cube 4 -8 12 3\n", 1, 1, "negative count in row 'cube'"),
     ],
     ids=["piece-row-integer", "indented-directive", "repeated-label",
-         "schedule-operator"],
+         "schedule-operator", "second-name", "piece-count-plus",
+         "piece-count-underscore", "piece-count-arabic-indic", "piece-count-negative"],
 )
 def test_error_column_points_at_its_token(capsys, tmp_path, command, text, line,
                                           column, message):

@@ -392,6 +392,65 @@ def test_broad_phase_matches_brute_force_on_sweep_stressing_bricks(c):
     assert validate(c) == brute_force_report(c)
 
 
+def aabbs_meet(a: Brick, b: Brick) -> bool:
+    return all(lo <= hi2 and lo2 <= hi
+               for (lo, hi), (lo2, hi2) in zip(a.aabb, b.aabb))
+
+
+def brute_force_aabb_pairs(bricks, indices) -> set:
+    return {(i, j) for i, j in combinations(sorted(indices), 2)
+            if aabbs_meet(bricks[i], bricks[j])}
+
+
+@st.composite
+def boxes_and_indices(draw):
+    """Boxes whose corners lie on a grid of step 1 or 1/3, so coordinates
+    are ints, Fractions or both, many x-lows are equal, and boxes share
+    faces, edges and corners; and a subset of their indices, or all."""
+    step = draw(st.sampled_from([1, Fraction(1, 3)]))
+    bricks = []
+    for i in range(draw(st.integers(2, 14))):
+        lo = [draw(st.integers(0, 4)) for _ in range(3)]
+        hi = [x + draw(st.integers(1, 2)) for x in lo]
+        bricks.append(brick_from_box([x * step for x in lo], [x * step for x in hi],
+                                     f"b{i}"))
+    everything = range(len(bricks))
+    indices = draw(st.just(None) | st.just(everything)
+                   | st.sets(st.sampled_from(everything)).map(sorted))
+    return tuple(bricks), indices
+
+
+def scan_case(*boxes, indices=None):
+    return (tuple(brick_from_box(lo, hi, f"b{i}") for i, (lo, hi) in enumerate(boxes)),
+            indices)
+
+
+UNIT = ((0, 0, 0), (1, 1, 1))
+THIRD = Fraction(1, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxes_and_indices())
+# boxes that meet only where x-high equals x-low, y-high y-low or z-high z-low,
+# the box that sorts first lying below or above the other; boxes apart in y
+# only, and in z only; an index subset that skips a brick
+@example(scan_case(UNIT, ((1, 0, 0), (2, 1, 1))))
+@example(scan_case(UNIT, ((0, 1, 0), (1, 2, 1))))
+@example(scan_case(UNIT, ((0, 0, 1), (1, 1, 2))))
+@example(scan_case(((0, 1, 0), (1, 2, 1)), ((1, 0, 0), (2, 1, 1))))
+@example(scan_case(((0, 0, 1), (1, 1, 2)), ((1, 0, 0), (2, 1, 1))))
+@example(scan_case(UNIT, ((0, 2, 0), (1, 3, 1))))
+@example(scan_case(UNIT, ((0, 0, 2), (1, 1, 3))))
+@example(scan_case(((0, 0, 0), (THIRD, 1, 1)), ((THIRD, 1, 1), (1, 2, 2))))
+@example(scan_case(UNIT, UNIT, UNIT, indices=[0, 2]))
+def test_aabb_scan_matches_brute_force(boxes):
+    bricks, indices = boxes
+    pairs = list(_aabb_meeting_pairs(bricks, indices))
+    assert all(i < j for i, j in pairs) and len(set(pairs)) == len(pairs)
+    everything = range(len(bricks)) if indices is None else indices
+    assert set(pairs) == brute_force_aabb_pairs(bricks, everything)
+
+
 def test_broad_phase_classifies_only_contacts_on_a_unit_cube_block(monkeypatch):
     calls = []
 

@@ -7,11 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bricks.complexes import ComplexError, brick_complex, validate
-from bricks.constructions import fixture, table_zz, zz_embedded, zz_immersed
+from bricks.constructions import (
+    fixture,
+    table_buttressed_octahedron,
+    table_zz,
+    zz_embedded,
+    zz_immersed,
+)
 from bricks.fileformats import (
     ParseError,
     emit_complex,
-    emit_piece_table,
     export_obj,
     parse_complex,
     parse_piece_table,
@@ -100,6 +105,14 @@ class TestComplexParseErrors:
         with pytest.raises(ParseError, match="duplicate"):
             parse_complex(text)
 
+    @pytest.mark.parametrize("second", ["u", "t"])
+    def test_second_name_line(self, second):
+        # the last name used to win silently
+        text = f"name t\nbrick a 0 0 0 1 0 0 0 1 0 0 0 1\n  name  {second}\n"
+        with pytest.raises(ParseError,
+                           match=rf"^line 3, column 9: second name '{second}'$"):
+            parse_complex(text)
+
     def test_zero_volume_brick(self):
         with pytest.raises(ParseError, match="zero volume"):
             parse_complex("brick a 0 0 0 1 0 0 0 1 0 1 1 0\n")
@@ -132,9 +145,11 @@ class TestComplexParseErrors:
 
 
 class TestPieceTableFormat:
-    def test_roundtrip(self):
-        table = table_zz()
-        assert parse_piece_table(emit_piece_table(table)) == table
+    def test_parses_the_builtin_tables_as_text(self):
+        text = "cube 4 8 12 3\nconnector 6 0 4 4\n"
+        assert parse_piece_table(text) == table_zz()
+        text = "ring-quarter 4 20 40 16\narch 2 30 66 32\nbuttress 8 0 4 4\n"
+        assert parse_piece_table(text) == table_buttressed_octahedron()
 
     def test_bad_row_width(self):
         with pytest.raises(ParseError):
@@ -147,6 +162,16 @@ class TestPieceTableFormat:
     def test_negative_count(self):
         with pytest.raises(ParseError):
             parse_piece_table("cube 4 -8 12 3\n")
+
+    @pytest.mark.parametrize("count", ["+4", "1_2", "\u0668", "--4", "-", "4.0"],
+                             ids=ascii)
+    def test_count_is_ascii_digits(self, count):
+        # int() alone takes the first three
+        for column, text in ((6, f"cube {count} 8 12 3\n"),
+                             (13, f"cube 4 8 12 {count}\n")):
+            with pytest.raises(ParseError, match=rf"^line 1, column {column}: "
+                                                 "bad integer in piece row: "):
+                parse_piece_table(text)
 
     def test_empty(self):
         with pytest.raises(ParseError, match="empty"):
