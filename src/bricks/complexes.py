@@ -3,11 +3,13 @@
 A complex is a finite labeled list of bricks. Validation classifies pairs
 exactly, and skips unclassified only pairs that cannot meet: a pair whose
 closed axis-aligned bounding boxes (AABBs) are disjoint; the others come
-from one sort by x-low and a forward scan of each box. The report is
-computed once per complex and kept on it; a consumer given it with a complex
-of other bricks raises StaleReportError. The brick graph has a node per
-brick and an arc per pair sharing a single whole face of each. A corner is a
-node of degree three or less.
+from one sort by x-low and a forward scan of each box. apply_schedule
+instead hands the refinement of a properly joined input its sibling pairs,
+by the cut, and the children of touching parents that meet their contact.
+The report is computed once per complex and kept on it; a consumer given it
+with a complex of other bricks raises StaleReportError. The brick graph has
+a node per brick and an arc per pair sharing a single whole face of each. A
+corner is a node of degree three or less.
 """
 
 from __future__ import annotations
@@ -51,9 +53,9 @@ class BrickComplex:
 
     bricks: tuple[Brick, ...]
     name: str = ""
-    # set and cleared by apply_schedule around its own validate (see there)
-    _lineage: Optional[tuple] = field(default=None, init=False, repr=False,
-                                      compare=False)
+    # the pairs apply_schedule hands its own validate, cleared after it
+    _pairs: Optional[Iterable] = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
         # The name and the labels are written to brick files as single
@@ -91,12 +93,7 @@ class BrickComplex:
     @cached_property
     def _report(self) -> ValidationReport:
         # validate()'s memo
-        bricks = self.bricks
-        if self._lineage is None:
-            pairs = _aabb_meeting_pairs(bricks)
-        else:
-            pairs = _lineage_pairs(bricks, *self._lineage)
-        return _classified(bricks, pairs)
+        return _classified(self.bricks, self._pairs or _aabb_meeting_pairs(self.bricks))
 
 
 def _one_token(label: str) -> bool:
@@ -147,69 +144,19 @@ class ValidationReport:
             raise StaleReportError("validation report was built from other bricks")
 
 
-def _aabb_meeting_pairs(bricks: tuple[Brick, ...], indices=None):
-    """Yield (i, j), i < j, for every pair of the bricks at indices (default:
-    all) whose closed AABBs meet, touching included. Sort and scan: the rows
-    (xlo, xhi, ylo, yhi, zlo, zhi, k) are sorted once as whole tuples, so ties
-    break alike on every run; the rows after row n that meet it in x end at
-    bisect_right(xlos, xhi), and each is tested on closed y and z intervals.
+def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
+    """Yield (i, j), i < j, for every pair of bricks whose closed AABBs meet,
+    touching included. Sort and scan: the rows (xlo, xhi, ylo, yhi, zlo, zhi,
+    k) are sorted once as whole tuples, so ties break alike on every run; the
+    rows after row n that meet it in x end at bisect_right(xlos, xhi), and
+    each is tested on closed y and z intervals.
     """
-    if indices is None:
-        indices = range(len(bricks))
-    rows = sorted((*x, *y, *z, k) for k in indices for x, y, z in [bricks[k].aabb])
+    rows = sorted((*x, *y, *z, k) for k, b in enumerate(bricks) for x, y, z in [b.aabb])
     xlos = [row[0] for row in rows]
     for n, (_, xhi, ylo, yhi, zlo, zhi, i) in enumerate(rows, 1):
         for _, _, jlo, jhi, klo, khi, j in rows[n:bisect_right(xlos, xhi, n)]:
             if jlo <= yhi and ylo <= jhi and klo <= zhi and zlo <= khi:
                 yield (i, j) if i < j else (j, i)
-
-
-def _lineage_pairs(bricks: tuple[Brick, ...], report: ValidationReport, spans):
-    """Yield (i, j), i < j, for every pair of children that can meet, given
-    the properly joined report of their parents and each parent's range of
-    child indices.
-
-    Each child lies inside its parent, so for c a child of P and d one of Q,
-    c ∩ d lies in c ∩ (P ∩ Q). Siblings are swept. Children of P and Q are
-    paired only if P and Q are a contact of the report, and only those that
-    meet the bounding box of P ∩ Q in their parent's frame coordinates. P ∩ Q
-    is a point, a whole edge or a whole face of each, so the same ends bound
-    it in both frames. A child's generators are positive multiples of its
-    parent's, so it has its parent's frame, and that test is three closed
-    interval overlaps. Every other pair is DISJOINT.
-    """
-    for r in spans:
-        yield from _aabb_meeting_pairs(bricks, r)
-    parents = {p.id: (p, r) for p, r in zip(report.bricks, spans)}
-    for pc in report.contacts:
-        (p, near_p), (q, near_q) = parents[pc.a], parents[pc.b]
-        contact = pc.contact
-        if contact.kind is ContactKind.WHOLE_FACE:
-            ends = p.face_polygon(contact.face_a)[::2]
-        else:
-            ends = contact.points
-        near_p = _meeting(bricks, near_p, p, ends)
-        near_q = _meeting(bricks, near_q, q, ends)
-        for i in near_p:
-            for j in near_q:
-                yield (i, j) if i < j else (j, i)
-
-
-def _meeting(bricks, children, parent: Brick, ends) -> list[int]:
-    """The children whose frame intervals meet the box that ends spans in
-    their parent's frame coordinates. ends are a point, the two ends of an
-    edge of the parent, or two opposite corners of a face of it: a normal of
-    the parent's frame is orthogonal to two of its generators, so along it
-    the element takes its extremes at those ends."""
-    (a0, b0), (a1, b1), (a2, b2) = [
-        (min(ds), max(ds))
-        for ds in ([n.dot(x) for x in ends] for n, *_ in parent._frame[1])]
-    near = []
-    for k in children:
-        (_, l0, h0, _, _), (_, l1, h1, _, _), (_, l2, h2, _, _) = bricks[k]._frame[1]
-        if l0 <= b0 and a0 <= h0 and l1 <= b1 and a1 <= h1 and l2 <= b2 and a2 <= h2:
-            near.append(k)
-    return near
 
 
 def _classified(bricks: tuple[Brick, ...], pairs) -> ValidationReport:

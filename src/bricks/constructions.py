@@ -253,6 +253,11 @@ def random_rectilinear(
     Unit cubes on a grid are automatically properly joined, which makes
     these complexes a free corpus for the voxel-oracle equivalence test.
     """
+    if max_bricks < 2:
+        raise ConstructionError(f"max_bricks {max_bricks} must be at least 2")
+    if max_bricks > grid**3:
+        raise ConstructionError(
+            f"grid {grid} has fewer than max_bricks {max_bricks} cells")
     rng = random.Random(seed)
     target = rng.randint(2, max_bricks)
     start = tuple(rng.randrange(grid) for _ in range(3))

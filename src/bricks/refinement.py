@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Mapping, Union
 
 from .complexes import BrickComplex, ValidationReport, validate
-from .geometry import Brick, Scalar, _quoted, format_scalar, opposite_face
+from .geometry import Brick, ContactKind, Scalar, _quoted, format_scalar, opposite_face
 from .surface import covered_faces
 
 
@@ -154,12 +154,10 @@ def apply_schedule(complex: BrickComplex, schedule: RefinementSchedule) -> Brick
 
     Exact postconditions, checked: total volume is conserved, and a
     properly joined input yields a properly joined output. That check
-    validates the output once through its lineage, the input's report and
-    each input brick's range of children: it classifies only sibling pairs
-    and the pairs of children of two touching parents in which each child
-    meets the parents' contact, because every child lies inside its parent
-    and every other pair of children is disjoint. The output keeps its
-    report but not the lineage. An improper input's output is a plain
+    validates the output once, classifying only the pairs that
+    _lineage_pairs hands it: sibling pairs by the cut, and children of
+    touching parents that meet their parents' contact. The output keeps its
+    report but not those pairs. An improper input's output is a plain
     complex, which validate sweeps.
     """
     unknown = set(schedule) - set(complex.labels)
@@ -179,16 +177,66 @@ def apply_schedule(complex: BrickComplex, schedule: RefinementSchedule) -> Brick
     if before != after:
         raise RefinementError(f"volume not conserved: {before} -> {after}")
     if report.properly_joined:
-        object.__setattr__(refined, "_lineage", (report, tuple(spans)))
+        pairs = _lineage_pairs(refined.bricks, report, spans, schedule)
+        object.__setattr__(refined, "_pairs", pairs)
         bad = validate(refined).improper_pairs
-        object.__setattr__(refined, "_lineage", None)
+        object.__setattr__(refined, "_pairs", None)
         if bad:
             pc = bad[0]
-            raise RefinementError(
-                "refinement broke proper joining: "
-                f"{pc.a} vs {pc.b} is {pc.contact.kind.value}"
-            )
+            raise RefinementError("refinement broke proper joining: "
+                                  f"{pc.a} vs {pc.b} is {pc.contact.kind.value}")
     return refined
+
+
+def _lineage_pairs(bricks, report: ValidationReport, spans, schedule):
+    """Yield (i, j), i < j, for every pair of children that can meet, given
+    the properly joined report of their parents, each parent's range of
+    child indices and the schedule that cut them. Every pair yielded has
+    meeting AABBs, so a sweep would yield it too.
+
+    Siblings come from the cut: a split's slabs meet only their neighbours,
+    octants all hold their parent's centre and quarters its centre line,
+    and a kept brick has none. A child lies inside its parent, so a child
+    of P meets one of Q only in P ∩ Q, a contact of the report: a point, or
+    a whole edge or face of each, bounded by the same ends in both frames.
+    A child has its parent's frame, so _meeting keeps those that meet it in
+    three interval tests. A kept brick, octants or quarters that meet it all
+    hold its centre, so they meet; a pair with a split's slab needs AABBs that meet.
+    """
+    parents = {}
+    for p, r in zip(report.bricks, spans):
+        split = isinstance(schedule.get(p.id), SplitAt)
+        parents[p.id] = p, r, split
+        yield from zip(r, r[1:]) if split else combinations(r, 2)
+    for pc in report.contacts:
+        (p, near_p, split), (q, near_q, split_q) = parents[pc.a], parents[pc.b]
+        contact = pc.contact
+        ends = (p.face_polygon(contact.face_a)[::2]
+                if contact.kind is ContactKind.WHOLE_FACE else contact.points)
+        near_q = _meeting(bricks, near_q, q, ends)
+        for i in _meeting(bricks, near_p, p, ends):
+            for j in near_q:
+                if not (split or split_q) or all(
+                        lo <= hi2 and lo2 <= hi for (lo, hi), (lo2, hi2)
+                        in zip(bricks[i].aabb, bricks[j].aabb)):
+                    yield (i, j) if i < j else (j, i)
+
+
+def _meeting(bricks, children, parent: Brick, ends) -> list[int]:
+    """The children whose frame intervals meet the box that ends spans in
+    their parent's frame coordinates. ends are a point, the two ends of an
+    edge of the parent, or two opposite corners of a face of it: a normal of
+    the parent's frame is orthogonal to two of its generators, so along it
+    the element takes its extremes at those ends."""
+    (a0, b0), (a1, b1), (a2, b2) = [
+        (min(ds), max(ds))
+        for ds in ([n.dot(x) for x in ends] for n, *_ in parent._frame[1])]
+    near = []
+    for k in children:
+        (_, l0, h0, _, _), (_, l1, h1, _, _), (_, l2, h2, _, _) = bricks[k]._frame[1]
+        if l0 <= b0 and a0 <= h0 and l1 <= b1 and a1 <= h1 and l2 <= b2 and a2 <= h2:
+            near.append(k)
+    return near
 
 
 def two_opposite_covered(

@@ -7,10 +7,14 @@ det > 0, so under a map with det M < 0 construction swaps two generators and
 face indices may change: whole faces are compared as the sets of their
 mapped corners. The brick graph, V/E/F, chi and genus do not change.
 
-The corpus is zz-embedded at cube side 4 refined once, 72 bricks in frames
-that its construction builds, taken to frames and denominators that no other
-test builds: one map has entries with denominators 3, 5 and 7, and one has
-det -1. Each map has a rational translation.
+The corpus is zz-embedded refined once, 72 bricks in frames that its
+construction builds, taken to frames and denominators that no other test
+builds. At cube side 4 it goes under four maps: one with entries of
+denominators 3, 5 and 7, one of det -1, a unimodular integer shear and an
+integer map of det 3, each with a rational translation; at sides 3 and 7/2,
+whose coordinates are Fractions, under the first two. Random polycubes go
+under every map, and the chi of each image must equal the voxel chi of the
+original.
 """
 
 from fractions import Fraction
@@ -19,10 +23,10 @@ from functools import cache
 import pytest
 
 from bricks.complexes import brick_complex, brick_graph, validate
-from bricks.constructions import ZZParams, zz_embedded
+from bricks.constructions import ZZParams, random_rectilinear, zz_embedded
 from bricks.geometry import Brick, ContactKind, det3, vec3
 from bricks.refinement import apply_schedule, standard_zz_schedule
-from bricks.surface import surface_stats
+from bricks.surface import surface_stats, voxel_chi
 
 F = Fraction
 
@@ -31,7 +35,16 @@ MAPS = {
                            (F(1, 2), F(-2, 3), F(5, 7))),
     "det-minus-1": (((1, 2, 0), (0, -1, 0), (0, 1, 1)),
                     (F(1, 3), F(1, 4), F(-1, 5))),
+    "unimodular": (((1, 1, 0), (0, 1, 1), (1, 1, 1)),
+                   (F(2, 3), -1, F(1, 2))),
+    "det-3": (((2, 1, 0), (0, 1, 1), (1, 0, 1)),
+              (F(-1, 2), F(3, 4), 2)),
 }
+RATIONAL = ("denominators-3-5-7", "det-minus-1")
+CASES = [(4, name) for name in MAPS] + [
+    (side, name) for side in (3, F(7, 2)) for name in RATIONAL]
+CASE_IDS = [name if side == 4 else f"side-{side}-{name}".replace("/", "_")
+            for side, name in CASES]
 
 
 def linear(m):
@@ -45,26 +58,33 @@ def affine(name):
 
 
 @cache
-def original():
-    c = zz_embedded(ZZParams(cube_side=4))
+def original(side=4):
+    c = zz_embedded(ZZParams(cube_side=side))
     return apply_schedule(c, standard_zz_schedule(c))
 
 
-@cache
-def image(name):
+def mapped(c, name):
     m, _ = MAPS[name]
     apply, move = linear(m), affine(name)
     return brick_complex(
-        (Brick(b.id, move(b.origin), apply(b.u), apply(b.v), apply(b.w))
-         for b in original()),
-        name=original().name,
+        (Brick(b.id, move(b.origin), apply(b.u), apply(b.v), apply(b.w)) for b in c),
+        name=c.name,
     )
+
+
+@cache
+def image(name, side=4):
+    return mapped(original(side), name)
 
 
 def test_maps_are_invertible_with_the_stated_determinants_and_denominators():
     dets = {name: det3(*(vec3(*r) for r in m)) for name, (m, _) in MAPS.items()}
-    assert dets["det-minus-1"] == -1
-    assert dets["denominators-3-5-7"] == F(107, 105)
+    assert dets == {"denominators-3-5-7": F(107, 105), "det-minus-1": -1,
+                    "unimodular": 1, "det-3": 3}
+    # the integer maps move every axis off-axis
+    for name in ("unimodular", "det-3"):
+        m = MAPS[name][0]
+        assert all(sum(1 for r in m if r[k]) > 1 for k in range(3))
     coordinates = [x for b in image("denominators-3-5-7")
                    for p in (b.origin, *b.generators) for x in p]
     for d in (3, 5, 7):
@@ -75,16 +95,16 @@ def test_maps_are_invertible_with_the_stated_determinants_and_denominators():
         assert c.v == linear(MAPS["det-minus-1"][0])(b.w)
 
 
-@pytest.mark.parametrize("name", MAPS)
-def test_contacts_map_to_contacts(name):
-    before, after = validate(original()), validate(image(name))
+@pytest.mark.parametrize("side, name", CASES, ids=CASE_IDS)
+def test_contacts_map_to_contacts(side, name):
+    before, after = validate(original(side)), validate(image(name, side))
     assert [(pc.a, pc.b, pc.contact.kind) for pc in after.contacts] == [
         (pc.a, pc.b, pc.contact.kind) for pc in before.contacts]
     kinds = {pc.contact.kind for pc in before.contacts}
     assert kinds == {ContactKind.POINT, ContactKind.WHOLE_EDGE, ContactKind.WHOLE_FACE}
     f = affine(name)
-    old = {b.id: b for b in original()}
-    new = {b.id: b for b in image(name)}
+    old = {b.id: b for b in original(side)}
+    new = {b.id: b for b in image(name, side)}
     for pc, qc in zip(before.contacts, after.contacts):
         x, y = pc.contact, qc.contact
         assert set(map(f, x.points)) == set(y.points)
@@ -95,12 +115,20 @@ def test_contacts_map_to_contacts(name):
                         == set(new[label].face_polygon(mapped_face)))
 
 
-@pytest.mark.parametrize("name", MAPS)
-def test_graph_and_topology_do_not_change(name):
-    c, d = original(), image(name)
+@pytest.mark.parametrize("side, name", CASES, ids=CASE_IDS)
+def test_graph_and_topology_do_not_change(side, name):
+    c, d = original(side), image(name, side)
     g, h = brick_graph(c, validate(c)), brick_graph(d, validate(d))
     assert (h.nodes, h.arcs) == (g.nodes, g.arcs)
     s, t = surface_stats(c, validate(c)), surface_stats(d, validate(d))
     counts = (s.vertex_count, s.edge_count, s.face_count, s.chi, s.genus)
     assert (t.vertex_count, t.edge_count, t.face_count, t.chi, t.genus) == counts
     assert (s.chi, s.genus) == (-4, 3)
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_mapped_polycubes_keep_the_voxel_chi(name):
+    for seed in range(1, 21):
+        c = random_rectilinear(seed)
+        d = mapped(c, name)
+        assert surface_stats(d, validate(d)).chi == voxel_chi(c)

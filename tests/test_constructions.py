@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -247,3 +249,43 @@ class TestFixtures:
     def test_all_named_fixtures_build(self):
         for name in fixture_names():
             assert len(fixture(name)) >= 1
+
+
+@pytest.mark.parametrize("max_bricks, grid, name", [
+    (1, 8, "max_bricks"),
+    (40, 0, "grid"),
+    (9, 2, "grid"),
+])
+def test_random_rectilinear_rejects_bad_parameters(max_bricks, grid, name):
+    with pytest.raises(ConstructionError, match=name):
+        random_rectilinear(1, max_bricks=max_bricks, grid=grid)
+
+
+def test_random_rectilinear_past_the_grid_raises_instead_of_hanging():
+    # a target past the grid's 8 cells could never be reached, so the walk
+    # used to spin forever: run it where a hang is a timeout
+    script = ("from bricks.constructions import ConstructionError, random_rectilinear\n"
+              "try:\n"
+              "    random_rectilinear(1, max_bricks=100, grid=2)\n"
+              "except ConstructionError as e:\n"
+              "    print(e)\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert "grid 2" in done.stdout and "max_bricks 100" in done.stdout
+
+
+# sha256 of emit_complex of random_rectilinear at seeds 1-20 under each
+# keyword set in order, as emitted before the parameter checks came in:
+# they raise before the first draw, so a valid call's output does not move
+RANDOM_KWARGS = ({}, {"max_bricks": 60, "grid": 4}, {"max_bricks": 8, "grid": 2},
+                 {"max_bricks": 2, "grid": 2})
+RANDOM_DIGEST = "af1b6fa6550a330eaa12555a3c5cef7289fda6378f9c7ff8282531280be91b4c"
+
+
+def test_random_rectilinear_output_is_pinned():
+    h = hashlib.sha256()
+    for kwargs in RANDOM_KWARGS:
+        for seed in range(1, 21):
+            h.update(emit_complex(random_rectilinear(seed, **kwargs)).encode())
+    assert h.hexdigest() == RANDOM_DIGEST

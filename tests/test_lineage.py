@@ -3,13 +3,14 @@
 Every child lies inside its parent, so a pair of children whose parents are
 disjoint is DISJOINT, and so is a pair in which one child misses its
 parents' contact. When the input is properly joined, apply_schedule
-validates its output once through the lineage, classifying only sibling
-pairs and the remaining children of touching parents, and returns it
-without the lineage. These tests check that report, and the sweep of an
-improper input's output, against a full validate of a fresh copy of the same
-bricks, down to scalar types, on standard and random schedules and on
-rational frames, and put floors on what the corpus exercises: each reason a
-pair is skipped and each kind of parent contact.
+validates its output once through the lineage, classifying only the sibling
+pairs its cuts let meet and the remaining children of touching parents, and
+returns it without the lineage. These tests check that report, and the
+sweep of an improper input's output, against a full validate of a fresh
+copy of the same bricks, down to scalar types, on standard and random
+schedules and on rational frames; check that the lineage classifies no more
+pairs than that validate; and put floors on what the corpus exercises: each
+reason a pair is skipped and each kind of parent contact.
 """
 
 import dataclasses
@@ -20,11 +21,11 @@ from functools import cache
 
 import pytest
 
-from bricks import complexes
+from bricks import refinement
 from bricks.complexes import (
     BrickComplex,
+    PairBudgetError,
     _aabb_meeting_pairs,
-    _lineage_pairs,
     validate,
 )
 from bricks.constructions import (
@@ -39,6 +40,7 @@ from bricks.refinement import (
     Octasect,
     QuarterLengthwise,
     SplitAt,
+    _lineage_pairs,
     apply_schedule,
     is_cube_shaped,
     long_direction,
@@ -198,17 +200,17 @@ GROUPS = {
 @cache
 def cases(name):
     """(parent, refined, lineage) for each refinement of the group, where
-    lineage is the (report, spans) that apply_schedule's validate of refined
-    read, or None if it read none."""
+    lineage is the (report, spans, schedule) that apply_schedule's validate
+    of refined read, or None if it read none."""
     read, kept = {}, []
 
-    def recording(bricks, report, spans):
+    def recording(bricks, *lineage):
         kept.append(bricks)  # alive, so no other tuple takes its id
-        read[id(bricks)] = report, spans
-        return _lineage_pairs(bricks, report, spans)
+        read[id(bricks)] = lineage
+        return _lineage_pairs(bricks, *lineage)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(complexes, "_lineage_pairs", recording)
+        mp.setattr(refinement, "_lineage_pairs", recording)
         pairs = GROUPS[name]()
     return [(parent, refined, read.get(id(refined.bricks)))
             for parent, refined in pairs]
@@ -217,7 +219,7 @@ def cases(name):
 @pytest.mark.parametrize("name", GROUPS)
 def test_lineage_report_equals_a_full_validate(name):
     for parent, refined, lineage in cases(name):
-        assert refined._lineage is None
+        assert refined._pairs is None
         if validate(parent).properly_joined:
             assert lineage[0] is validate(parent)
         else:
@@ -230,18 +232,26 @@ def test_lineage_report_equals_a_full_validate(name):
 
 def skip_reasons(refined: BrickComplex, lineage) -> Counter:
     """Swept pairs of refined that its lineage does not yield, by reason:
+    "slabs apart" (two slabs of one split, not neighbours, so DISJOINT),
     "parents apart", or the kind of the parents' contact that a child
     misses."""
-    report, spans = lineage
-    yielded = list(_lineage_pairs(refined.bricks, report, spans))
+    report, spans, schedule = lineage
+    bricks = refined.bricks
+    yielded = list(_lineage_pairs(bricks, *lineage))
     assert all(i < j for i, j in yielded) and len(set(yielded)) == len(yielded)
     parent_of = {k: p.id for p, r in zip(report.bricks, spans) for k in r}
     touching = {(pc.a, pc.b): pc.contact.kind for pc in report.contacts}
     reasons = Counter()
-    for i, j in set(_aabb_meeting_pairs(refined.bricks)).difference(yielded):
+    swept = set(_aabb_meeting_pairs(bricks))
+    assert swept.issuperset(yielded)
+    for i, j in swept.difference(yielded):
         p, q = sorted((parent_of[i], parent_of[j]))
-        assert p != q  # siblings are all swept
-        reasons[touching.get((p, q), "parents apart")] += 1
+        if p == q:
+            assert isinstance(schedule[p], SplitAt) and j - i > 1
+            assert classify_contact(bricks[i], bricks[j]).kind is ContactKind.DISJOINT
+            reasons["slabs apart"] += 1
+        else:
+            reasons[touching.get((p, q), "parents apart")] += 1
     return reasons
 
 
@@ -252,11 +262,12 @@ def test_corpus_skips_pairs_for_each_reason_and_has_each_parent_contact():
             if lineage is not None:
                 reasons += skip_reasons(refined, lineage)
                 kinds.update(pc.contact.kind for pc in lineage[0].contacts)
+    assert reasons["slabs apart"] >= 100
     assert reasons["parents apart"] >= 10_000
     assert reasons[ContactKind.WHOLE_FACE] >= 5_000
     assert reasons[ContactKind.WHOLE_EDGE] >= 5_000
     assert reasons[ContactKind.POINT] >= 2_000
-    assert set(reasons) <= {"parents apart", ContactKind.WHOLE_FACE,
+    assert set(reasons) <= {"slabs apart", "parents apart", ContactKind.WHOLE_FACE,
                             ContactKind.WHOLE_EDGE, ContactKind.POINT}
     assert kinds[ContactKind.POINT] >= 800
     assert kinds[ContactKind.WHOLE_EDGE] >= 2_000
@@ -265,21 +276,26 @@ def test_corpus_skips_pairs_for_each_reason_and_has_each_parent_contact():
                           ContactKind.WHOLE_FACE}
 
 
-def test_refined_zz_embedded_classifies_only_its_contacts(monkeypatch):
-    calls = []
-
+def counted(monkeypatch, calls, validated):
+    """validated() with each pair that validate classifies inside it
+    appended to calls."""
     def counting(a, b):
         calls.append((a.id, b.id))
         return classify_contact(a, b)
 
+    with monkeypatch.context() as mp:
+        mp.setattr("bricks.complexes.classify_contact", counting)
+        return validated()
+
+
+def test_refined_zz_embedded_classifies_only_its_contacts(monkeypatch):
     for side in (4, 3):
         (_, c), = standard_chain(zz(side), 1)
         validate(c)
-        calls.clear()
-        with monkeypatch.context() as mp:
-            mp.setattr("bricks.complexes.classify_contact", counting)
-            refined = apply_schedule(c, standard_zz_schedule(c))
-        assert refined._lineage is None
+        calls = []
+        refined = counted(monkeypatch, calls,
+                          lambda: apply_schedule(c, standard_zz_schedule(c)))
+        assert refined._pairs is None
         assert len(calls) == len(validate(refined).contacts) == 3972
 
 
@@ -288,5 +304,57 @@ def test_a_copy_with_other_bricks_is_swept():
     t = vec3(1, 0, 0)
     moved = tuple(Brick(b.id, b.origin + t, b.u, b.v, b.w) for b in refined)
     copy = dataclasses.replace(refined, bricks=moved)
-    assert copy._lineage is None
+    assert copy._pairs is None
     assert validate(copy) == validate(BrickComplex(moved))
+
+
+def test_a_thousand_slab_skew_split_classifies_only_neighbours(monkeypatch):
+    # every pair of the 1,000 slabs has meeting AABBs: a sweep yields
+    # 499,500, past the budget, but the cut says only neighbours meet
+    c = BrickComplex((Brick("a", vec3(0, 0, 0), vec3(1, 0, 0), vec3(1, 1, 0),
+                            vec3(0, 0, 1)),))
+    schedule = {"a": SplitAt(0, tuple(Fraction(k, 1000) for k in range(1, 1000)))}
+    calls = []
+    refined = counted(monkeypatch, calls, lambda: apply_schedule(c, schedule))
+    assert len(refined) == 1000 and len(calls) == 999
+    assert len(validate(refined).whole_face_contacts()) == 999
+    assert len(validate(refined).contacts) == 999
+    with pytest.raises(PairBudgetError):
+        validate(BrickComplex(refined.bricks))
+
+
+def split_cases():
+    """(complex, schedule): random splits at 3 to 5 fractions of
+    zz-embedded's skew connectors, each along its long generator so that
+    its end faces stay whole, and of sheared polycubes, one split for every
+    brick."""
+    rng = random.Random(11)
+
+    def cuts():
+        return tuple(sorted(rng.sample(FRACTIONS, rng.randint(3, 5))))
+
+    for side in (4, 3):
+        c = zz(side)
+        for _ in range(3):
+            yield c, {b.id: SplitAt(0, cuts()) for b in c if b.id[0] in "XZ"}
+    for affine in SHEARS.values():
+        for seed in range(1, 11):
+            c = sheared(random_rectilinear(seed, max_bricks=20), affine)
+            yield c, dict.fromkeys(c.labels, SplitAt(rng.randrange(3), cuts()))
+
+
+def test_random_splits_classify_no_more_than_a_fresh_validate(monkeypatch):
+    lineage = fresh = 0
+    for c, schedule in split_cases():
+        validate(c)
+        calls = []
+        refined = counted(monkeypatch, calls, lambda: apply_schedule(c, schedule))
+        copy = BrickComplex(refined.bricks, name=refined.name)
+        fresh_calls = []
+        report = counted(monkeypatch, fresh_calls, lambda: validate(copy))
+        assert typed_report(validate(refined)) == typed_report(report)
+        assert report.properly_joined
+        assert len(calls) <= len(fresh_calls)
+        lineage += len(calls)
+        fresh += len(fresh_calls)
+    assert lineage < fresh
