@@ -33,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bricks import constructions as con
 from bricks.complexes import brick_graph, component_count, corners, validate
-from bricks.constructions import ZZParams, zz_embedded, zz_immersed
+from bricks.constructions import zz_embedded, zz_immersed
 from bricks.geometry import classify_contact, vec3
 from bricks.refinement import apply_schedule, standard_zz_schedule, two_opposite_covered
 from bricks.surface import surface_stats
@@ -63,18 +63,17 @@ def demonstrate_single_joint_infeasibility():
     """Grid search over joint positions; only the two critical pairs are
     checked per candidate, so zero hits is conclusive for the full check.
     Returns a failed-claim line for each search with a hit."""
-    params = ZZParams()
-    labels, x_order, z_order = con._paths(params)
+    side = con.DEFAULT_CUBE_SIDE
+    labels, x_order, z_order = con._paths(side)
     conn = {}
     for n, (i, j) in enumerate(zip(x_order, x_order[1:])):
         conn[f"X{n + 1}"] = (0, i, j)
     for n, (i, j) in enumerate(zip(z_order, z_order[1:])):
         conn[f"Z{n + 1}"] = (2, i, j)
-    straight = {b.id: b for b in zz_immersed(params)}
-    side = params.cube_side
+    straight = {b.id: b for b in zz_immersed(side)}
 
     def pieces(label, axis, i, j, joint_center):
-        ci, cj = params.centers[i], params.centers[j]
+        ci, cj = con.PAPER_CENTERS[i], con.PAPER_CENTERS[j]
         try:
             forward = cj[axis] > ci[axis]
             a = con._prism(

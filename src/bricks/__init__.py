@@ -20,7 +20,6 @@ from .complexes import (
     validate,
 )
 from .constructions import (
-    ZZParams,
     fixture,
     fixture_names,
     random_rectilinear,
@@ -70,7 +69,7 @@ __all__ = [
     "brick_graph", "component_count", "corners", "degree_histogram",
     "validate",
     # constructions
-    "ZZParams", "fixture", "fixture_names", "random_rectilinear",
+    "fixture", "fixture_names", "random_rectilinear",
     "table_buttressed_octahedron", "table_zz", "zz_embedded", "zz_immersed",
     # geometry
     "Brick", "Contact", "ContactKind", "Point3", "Scalar", "Vec3",

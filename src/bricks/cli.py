@@ -27,7 +27,6 @@ from .complexes import (
     validate,
 )
 from .constructions import (
-    ZZParams,
     fixture,
     fixture_names,
     zz_embedded,
@@ -234,7 +233,7 @@ def cmd_build(args) -> int:
     if args.name in ("zz-immersed", "zz-embedded"):
         construct = zz_immersed if args.name == "zz-immersed" else zz_embedded
         side = "4" if args.cube_side is None else args.cube_side
-        complex = construct(ZZParams(cube_side=scalar(side)))
+        complex = construct(scalar(side))
     elif args.cube_side is not None:
         raise CliError("--cube-side applies only to zz-immersed and zz-embedded")
     else:

@@ -6,18 +6,19 @@ routed along x and one along z. The 10-brick version self-intersects; in
 the 14-brick version the z path is zig-zagged into seven segments whose
 bends dodge the x path.
 
-Published data: the four cube centers. Cube side, connector sections, and
-the zig-zag bend positions are derived; the builders assert every derived
-claim (proper joining, covering, connectivity, Euler characteristic) before
-returning. See scripts/derive_zz_geometry.py for how the bends were found
-and why a shorter zig-zag cannot work.
+Published data: the four cube centers, the constant PAPER_CENTERS; only the
+cube side varies, and each builder takes it as an int or a Fraction.
+Connector sections and the zig-zag bend positions are derived; the builders
+assert every derived claim (proper joining, covering, connectivity, Euler
+characteristic) before returning. See scripts/derive_zz_geometry.py for
+how the bends were found and why a shorter zig-zag cannot work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import random
+import re
 
 from .complexes import (
     BrickComplex,
@@ -43,12 +44,6 @@ PAPER_CENTERS: tuple[Point3, ...] = (
 )
 
 DEFAULT_CUBE_SIDE = 4
-
-
-@dataclass(frozen=True)
-class ZZParams:
-    cube_side: Scalar = DEFAULT_CUBE_SIDE
-    centers: tuple[Point3, Point3, Point3, Point3] = PAPER_CENTERS
 
 
 def _cube(label: str, center: Point3, side: Scalar) -> Brick:
@@ -78,22 +73,24 @@ def _prism(label: str, axis: int, start: Point3, end: Point3, side: Scalar) -> B
     return Brick(label, start, end - start, *cross)
 
 
-def _paths(params: ZZParams):
+def _paths(side: Scalar):
     """The two axis-monotone Hamiltonian paths over the four cubes.
 
-    x path: cubes by ascending x. z path: cubes by descending z. Together
-    they must cover all six K4 edges (no shared pair).
+    x path: cubes by ascending x. z path: cubes by descending z. The
+    published centers make them edge-disjoint, so together they cover all
+    six K4 edges.
     """
-    centers = params.centers
-    side = params.cube_side
+    if type(side) not in (int, Fraction):
+        raise ConstructionError(
+            f"cube side {_quoted(side)} must be an int or a Fraction")
     if side <= 0:
         raise ConstructionError(f"cube side {side} must be positive")
     labels = [f"C{i + 1}" for i in range(4)]
 
     def ordered(axis: int, reverse: bool):
-        order = sorted(range(4), key=lambda i: centers[i][axis], reverse=reverse)
+        order = sorted(range(4), key=lambda i: PAPER_CENTERS[i][axis], reverse=reverse)
         for ia, ib in zip(order, order[1:]):
-            gap = abs(centers[ib][axis] - centers[ia][axis])
+            gap = abs(PAPER_CENTERS[ib][axis] - PAPER_CENTERS[ia][axis])
             if gap <= side:
                 raise ConstructionError(
                     f"cube side {side} must be smaller than the "
@@ -102,16 +99,7 @@ def _paths(params: ZZParams):
                 )
         return order
 
-    x_order = ordered(0, reverse=False)
-    z_order = ordered(2, reverse=True)
-    x_edges = {frozenset(p) for p in zip(x_order, x_order[1:])}
-    z_edges = {frozenset(p) for p in zip(z_order, z_order[1:])}
-    if x_edges & z_edges:
-        raise ConstructionError(
-            "x and z paths share a cube pair; centers do not induce "
-            "two edge-disjoint Hamiltonian paths"
-        )
-    return labels, x_order, z_order
+    return labels, ordered(0, reverse=False), ordered(2, reverse=True)
 
 
 # Zig-zag geometry for the embedded version. The two straight tube paths
@@ -137,15 +125,15 @@ ZIGZAG_BENDS = {
 
 
 def _chain(
-    params: ZZParams, label: str, axis: int, i: int, j: int, bends
+    side: Scalar, label: str, axis: int, i: int, j: int, bends
 ) -> list[Brick]:
     """Connector from cube i to cube j along `axis` (i before j on the path):
     a chain of segments from i's face to j's through the bend squares
     bends.get(label, ()), one straight segment if there are none."""
-    centers, side = params.centers, params.cube_side
-    forward = centers[j][axis] > centers[i][axis]
-    start = _face_min_corner(centers[i], side, axis, positive=forward)
-    end = _face_min_corner(centers[j], side, axis, positive=not forward)
+    ci, cj = PAPER_CENTERS[i], PAPER_CENTERS[j]
+    forward = cj[axis] > ci[axis]
+    start = _face_min_corner(ci, side, axis, positive=forward)
+    end = _face_min_corner(cj, side, axis, positive=not forward)
     waypoints = [start]
     for anchor, offset in bends.get(label, ()):
         base = start if anchor == "from" else end
@@ -156,20 +144,18 @@ def _chain(
             for s, p, q in zip(suffixes, waypoints, waypoints[1:])]
 
 
-def _zz(params: ZZParams, name: str, bends) -> BrickComplex:
+def _zz(side: Scalar, name: str, bends) -> BrickComplex:
     """The four cubes, then the x path's connectors and the z path's, each
     a chain through its bends."""
-    labels, x_order, z_order = _paths(params)
-    bricks = [
-        _cube(labels[i], params.centers[i], params.cube_side) for i in range(4)
-    ]
+    labels, x_order, z_order = _paths(side)
+    bricks = [_cube(labels[i], PAPER_CENTERS[i], side) for i in range(4)]
     for path, axis, order in (("X", 0, x_order), ("Z", 2, z_order)):
         for n, (i, j) in enumerate(zip(order, order[1:])):
-            bricks += _chain(params, f"{path}{n + 1}", axis, i, j, bends)
+            bricks += _chain(side, f"{path}{n + 1}", axis, i, j, bends)
     return brick_complex(bricks, name=name)
 
 
-def zz_immersed(params: ZZParams = ZZParams()) -> BrickComplex:
+def zz_immersed(cube_side: Scalar = DEFAULT_CUBE_SIDE) -> BrickComplex:
     """The 10-brick self-intersecting ZZ-object.
 
     Four cubes at the staggered centers plus six skew connectors: the
@@ -178,10 +164,10 @@ def zz_immersed(params: ZZParams = ZZParams()) -> BrickComplex:
     faces covered. The two tubes pass through each other, so validation
     reports volume overlaps.
     """
-    return _zz(params, "zz-immersed", {})
+    return _zz(cube_side, "zz-immersed", {})
 
 
-def zz_embedded(params: ZZParams = ZZParams()) -> BrickComplex:
+def zz_embedded(cube_side: Scalar = DEFAULT_CUBE_SIDE) -> BrickComplex:
     """The 14-brick embedded (non-self-intersecting) ZZ-object.
 
     The x path keeps its three straight connectors; the z path is zig-zagged
@@ -189,9 +175,9 @@ def zz_embedded(params: ZZParams = ZZParams()) -> BrickComplex:
     long middle run, one bend over the last cube) that dodge the x path.
     The builder asserts proper joining, the two-opposite-faces covering,
     graph connectivity, and chi = -4; it raises naming the first improper
-    pair if the stored bends do not work for the given parameters.
+    pair if the stored bends do not work for the given cube side.
     """
-    result = _zz(params, "zz-embedded", ZIGZAG_BENDS)
+    result = _zz(cube_side, "zz-embedded", ZIGZAG_BENDS)
     report = validate(result)
     if not report.properly_joined:
         pc = report.improper_pairs[0]
@@ -274,68 +260,52 @@ def random_rectilinear(
     return _cells_complex(cells, f"random-{seed}")
 
 
-def _ring_cells():
-    return [(x, y, 0) for x in range(3) for y in range(3) if (x, y) != (1, 1)]
+# the unit-cube polycubes of the corpus, by name
+_CELLS = {
+    "cube": [(0, 0, 0)],
+    "column-3": [(0, 0, z) for z in range(3)],
+    "column-5": [(0, 0, z) for z in range(5)],
+    "ring-3x3": [(x, y, 0) for x in range(3) for y in range(3) if (x, y) != (1, 1)],
+    "block-2x2x2": [(x, y, z) for x in range(2) for y in range(2) for z in range(2)],
+    "block-3x3x3": [(x, y, z) for x in range(3) for y in range(3) for z in range(3)],
+    "slab-3x3": [(x, y, 0) for x in range(3) for y in range(3)],
+    "cross": [(1, 1, z) for z in range(3)]
+    + [(0, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 1)],
+    "shell-3x3x3": [(x, y, z) for x in range(3) for y in range(3) for z in range(3)
+                    if (x, y, z) != (1, 1, 1)],
+}
 
-
-_FIXTURES = {
-    "cube": lambda: _cells_complex([(0, 0, 0)], "cube"),
-    "column-3": lambda: _cells_complex([(0, 0, z) for z in range(3)], "column-3"),
-    "column-5": lambda: _cells_complex([(0, 0, z) for z in range(5)], "column-5"),
-    "ring-3x3": lambda: _cells_complex(_ring_cells(), "ring-3x3"),
-    "block-2x2x2": lambda: _cells_complex(
-        [(x, y, z) for x in range(2) for y in range(2) for z in range(2)],
-        "block-2x2x2",
-    ),
-    "block-3x3x3": lambda: _cells_complex(
-        [(x, y, z) for x in range(3) for y in range(3) for z in range(3)],
-        "block-3x3x3",
-    ),
-    "slab-3x3": lambda: _cells_complex(
-        [(x, y, 0) for x in range(3) for y in range(3)], "slab-3x3"
-    ),
-    "cross": lambda: _cells_complex(
-        [(1, 1, z) for z in range(3)]
-        + [(0, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 1)],
-        "cross",
-    ),
-    "shell-3x3x3": lambda: _cells_complex(
-        [
-            (x, y, z)
-            for x in range(3)
-            for y in range(3)
-            for z in range(3)
-            if (x, y, z) != (1, 1, 1)
-        ],
-        "shell-3x3x3",
-    ),
+_BUILDERS = {
     "bar-chain-3": lambda: brick_complex(
-        [
-            brick_from_box((0, 0, 3 * k), (1, 1, 3 * (k + 1)), f"bar{k}")
-            for k in range(3)
-        ],
-        name="bar-chain-3",
-    ),
+        [brick_from_box((0, 0, 3 * k), (1, 1, 3 * (k + 1)), f"bar{k}")
+         for k in range(3)], name="bar-chain-3"),
     "zz-immersed": zz_immersed,
     "zz-embedded": zz_embedded,
 }
 
+# an int as Python prints it, so that random-<n> names only the complex it
+# builds; int() alone also takes "1_2", "+4", " 7", non-ASCII digits and "007"
+_SEED = re.compile(r"-?[1-9][0-9]*|0")
+
 
 def fixture_names() -> list[str]:
-    return sorted(_FIXTURES)
+    return sorted([*_CELLS, *_BUILDERS])
 
 
 def fixture(name: str) -> BrickComplex:
     """Deterministic named test complexes; 'random-<seed>' is seeded."""
-    if name in _FIXTURES:
-        return _FIXTURES[name]()
+    if name in _CELLS:
+        return _cells_complex(_CELLS[name], name)
+    if name in _BUILDERS:
+        return _BUILDERS[name]()
     if name.startswith("random-"):
+        text = name[len("random-"):]
         try:
-            seed = int(name.split("-", 1)[1])
-        except ValueError:
-            raise ConstructionError(
-                f"bad random fixture seed in {_quoted(name)}"
-            ) from None
+            seed = int(text) if _SEED.fullmatch(text) else None
+        except ValueError:  # more digits than int allows
+            seed = None
+        if seed is None:
+            raise ConstructionError(f"bad random fixture seed in {_quoted(name)}")
         return random_rectilinear(seed)
     raise ConstructionError(
         f"unknown fixture {_quoted(name)}; known: {', '.join(fixture_names())} "

@@ -82,6 +82,9 @@ def split_many(b: Brick, direction: int, fractions) -> tuple[Brick, ...]:
     fs = list(fractions)
     if not fs:
         return (b,)
+    if any(type(f) not in (int, Fraction) for f in fs):
+        raise RefinementError(
+            f"brick {_quoted(b.id)}: split fractions must be ints or Fractions")
     if any(not 0 < f < 1 for f in fs) or any(
         fs[i] >= fs[i + 1] for i in range(len(fs) - 1)
     ):

@@ -53,8 +53,11 @@ class SurfaceStats:
 def genus_from_chi(chi: int, components: int = 1, manifold: bool = True) -> int:
     """Genus g with chi = 2 - 2g for a closed connected orientable surface.
 
-    An odd or over-2 chi raises TopologyError, quoting chi if it can be
-    printed."""
+    A chi that is not an int, is odd or exceeds 2 raises TopologyError,
+    quoting an int chi if it can be printed."""
+    if type(chi) is not int:
+        raise TopologyError(
+            f"genus undefined: chi is a {type(chi).__name__}, not an int")
     if not manifold:
         raise TopologyError("genus undefined: surface is not a manifold")
     if components != 1:
@@ -206,6 +209,9 @@ class PieceRow:
     faces: int
 
     def __post_init__(self):
+        counts = (self.multiplicity, self.vertices, self.edges, self.faces)
+        if any(type(n) is not int for n in counts):  # bool included
+            raise ValueError(f"non-int count in row {_quoted(self.label)}")
         if self.multiplicity < 1:
             raise ValueError(
                 f"multiplicity must be >= 1 in row {_quoted(self.label)}"

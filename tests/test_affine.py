@@ -14,7 +14,13 @@ denominators 3, 5 and 7, one of det -1, a unimodular integer shear and an
 integer map of det 3, each with a rational translation; at sides 3 and 7/2,
 whose coordinates are Fractions, under the first two. Random polycubes go
 under every map, and the chi of each image must equal the voxel chi of the
-original.
+original. Scalings p -> kp of the two ZZ objects stand for the ZZ objects
+built from scaled centers.
+
+Every map keeps a point contact, so reading one as DISJOINT drops the same
+contacts before and after each map and passes the tests above. A two-frame
+pinch, two bricks that meet only at one corner, is checked against fixed
+values instead.
 """
 
 from fractions import Fraction
@@ -23,8 +29,15 @@ from functools import cache
 import pytest
 
 from bricks.complexes import brick_complex, brick_graph, validate
-from bricks.constructions import ZZParams, random_rectilinear, zz_embedded
-from bricks.geometry import Brick, ContactKind, det3, vec3
+from bricks.constructions import random_rectilinear, zz_embedded, zz_immersed
+from bricks.geometry import (
+    IMPROPER_KINDS,
+    Brick,
+    ContactKind,
+    brick_from_box,
+    det3,
+    vec3,
+)
 from bricks.refinement import apply_schedule, standard_zz_schedule
 from bricks.surface import surface_stats, voxel_chi
 
@@ -59,17 +72,25 @@ def affine(name):
 
 @cache
 def original(side=4):
-    c = zz_embedded(ZZParams(cube_side=side))
+    c = zz_embedded(side)
     return apply_schedule(c, standard_zz_schedule(c))
 
 
-def mapped(c, name):
-    m, _ = MAPS[name]
-    apply, move = linear(m), affine(name)
+def transformed(c, m, t=(0, 0, 0)):
+    apply, shift = linear(m), vec3(*t)
     return brick_complex(
-        (Brick(b.id, move(b.origin), apply(b.u), apply(b.v), apply(b.w)) for b in c),
+        (Brick(b.id, apply(b.origin) + shift, apply(b.u), apply(b.v), apply(b.w))
+         for b in c),
         name=c.name,
     )
+
+
+def mapped(c, name):
+    return transformed(c, *MAPS[name])
+
+
+def scaled(c, k):
+    return transformed(c, ((k, 0, 0), (0, k, 0), (0, 0, k)))
 
 
 @cache
@@ -132,3 +153,45 @@ def test_mapped_polycubes_keep_the_voxel_chi(name):
         c = random_rectilinear(seed)
         d = mapped(c, name)
         assert surface_stats(d, validate(d)).chi == voxel_chi(c)
+
+
+def test_scaled_zz_embedded_stays_properly_joined_with_its_counts():
+    c = zz_embedded()
+    counts = surface_stats(c, validate(c)).as_tuple()
+    for k in (2, F(1, 2), F(3, 4)):
+        d = scaled(c, k)
+        r = validate(d)
+        assert r.properly_joined
+        assert surface_stats(d, r).as_tuple() == counts
+
+
+def test_scaled_zz_immersed_keeps_every_pair_kind():
+    def kinds(c):
+        return {(pc.a, pc.b): pc.contact.kind for pc in validate(c).contacts}
+
+    base = kinds(zz_immersed())
+    assert set(base.values()) & IMPROPER_KINDS
+    assert kinds(scaled(zz_immersed(), F(2, 3))) == base
+
+
+def pinch():
+    """Two bricks of two frames that meet only at their corner (1, 1, 1)."""
+    return brick_complex(
+        [brick_from_box((0, 0, 0), (1, 1, 1), "a"),
+         Brick("b", vec3(1, 1, 1), vec3(1, 1, 0), vec3(0, 1, 0), vec3(0, 0, 1))],
+        name="pinch",
+    )
+
+
+@pytest.mark.parametrize("name", [None, *MAPS],
+                         ids=lambda name: name or "as-built")
+def test_two_frame_pinch_meets_at_one_point_under_every_map(name):
+    c = pinch() if name is None else mapped(pinch(), name)
+    corner = vec3(1, 1, 1) if name is None else affine(name)(vec3(1, 1, 1))
+    report = validate(c)
+    assert [(pc.contact.kind, pc.contact.points) for pc in report.contacts] == [
+        (ContactKind.POINT, (corner,))]
+    s = surface_stats(c, report)
+    assert (s.vertex_count, s.edge_count, s.face_count, s.chi) == (15, 24, 12, 3)
+    assert s.surface_components == 2
+    assert s.edge_manifold and not s.vertex_manifold

@@ -29,7 +29,6 @@ from bricks.complexes import (
     validate,
 )
 from bricks.constructions import (
-    ZZParams,
     fixture,
     fixture_names,
     random_rectilinear,
@@ -280,7 +279,7 @@ class TestSlottedRecords:
             random_rectilinear(3),
             ((1, Fraction(1, 2), 0), (0, 1, Fraction(1, 3)), (0, 0, 1))),
         # eleven frames: co-framed and skew pairs
-        "zz-embedded-7/2": lambda: zz_embedded(ZZParams(cube_side=Fraction(7, 2))),
+        "zz-embedded-7/2": lambda: zz_embedded(Fraction(7, 2)),
     }
 
     @staticmethod
@@ -521,7 +520,7 @@ def test_suite_complexes_classify_at_most_half_the_pair_budget(monkeypatch):
     large = [cubes_at(*product(range(10), repeat=3)),
              refined(zz_immersed, 1)]
     for side, times in ((4, 3), (3, 2), (Fraction(7, 2), 2)):
-        chain = [zz_embedded(ZZParams(cube_side=side))]
+        chain = [zz_embedded(side)]
         for _ in range(times):
             chain.append(apply_schedule(chain[-1], standard_zz_schedule(chain[-1])))
         large += chain

@@ -10,7 +10,6 @@ import pytest
 from bricks.complexes import brick_graph, component_count, corners, validate
 from bricks.constructions import (
     ConstructionError,
-    ZZParams,
     fixture,
     fixture_names,
     random_rectilinear,
@@ -99,7 +98,7 @@ class TestZZImmersed:
     def test_cube_side_five_or_more_rejected(self):
         for side in (5, 6, Fraction(11, 2)):
             with pytest.raises(ConstructionError, match="gap"):
-                zz_immersed(ZZParams(cube_side=side))
+                zz_immersed(side)
 
 
 class TestZZEmbedded:
@@ -137,26 +136,10 @@ class TestZZEmbedded:
         for conn in ("X1", "X2", "X3"):
             assert gi.degree[conn] == ge.degree[conn] == 2
 
-    def test_scaling_invariance(self):
-        base = zz_embedded()
-        base_stats = surface_stats(base, validate(base))
-        for k in (2, Fraction(1, 2), Fraction(3, 4)):
-            params = ZZParams(
-                cube_side=Fraction(4) * k,
-                centers=tuple(c.scale(k) for c in ZZParams().centers),
-            )
-            scaled = zz_embedded(params)
-            r = validate(scaled)
-            assert r.properly_joined
-            assert surface_stats(scaled, r).as_tuple() == base_stats.as_tuple()
-
-    def test_incompatible_params_raise_constructively(self):
-        # centers whose x and z orders coincide cannot give two disjoint paths
-        bad = ZZParams(
-            centers=(vec3(0, 0, 0), vec3(10, 0, 10), vec3(20, 0, 20), vec3(30, 0, 30))
-        )
-        with pytest.raises(ConstructionError):
-            zz_embedded(bad)
+    @pytest.mark.parametrize("side", [3.0, "3", True], ids=["float", "str", "bool"])
+    def test_cube_side_not_int_or_fraction_rejected(self, side):
+        with pytest.raises(ConstructionError, match="cube side"):
+            zz_embedded(side)
 
 
 # sha256 of emit_complex of each ZZ object at three cube sides; the straight
@@ -182,25 +165,9 @@ ZZ_LABELS = {
 @pytest.mark.parametrize("build, side", list(ZZ_DIGESTS),
                          ids=lambda v: str(v).replace("/", "_"))
 def test_zz_objects_emit_pinned_text_in_pinned_order(build, side):
-    c = {"zz_immersed": zz_immersed, "zz_embedded": zz_embedded}[build](
-        ZZParams(cube_side=side))
+    c = {"zz_immersed": zz_immersed, "zz_embedded": zz_embedded}[build](side)
     assert hashlib.sha256(emit_complex(c).encode()).hexdigest() == ZZ_DIGESTS[build, side]
     assert c.labels == ZZ_LABELS[build]
-
-
-class TestImmersedScaling:
-    def test_contact_kinds_invariant_under_scaling(self):
-        base = {(pc.a, pc.b): pc.contact.kind for pc in validate(zz_immersed()).contacts}
-        k = Fraction(2, 3)
-        params = ZZParams(
-            cube_side=Fraction(4) * k,
-            centers=tuple(c.scale(k) for c in ZZParams().centers),
-        )
-        scaled = {
-            (pc.a, pc.b): pc.contact.kind
-            for pc in validate(zz_immersed(params)).contacts
-        }
-        assert base == scaled
 
 
 class TestTables:
@@ -249,6 +216,18 @@ class TestFixtures:
     def test_all_named_fixtures_build(self):
         for name in fixture_names():
             assert len(fixture(name)) >= 1
+
+    @pytest.mark.parametrize("name", ["random-1_2", "random-+4", "random- 7",
+                                      "random-\u0668", "random-007", "random--0"])
+    def test_random_seed_not_as_python_prints_it_rejected(self, name):
+        # int() takes each of these, and the complex built was named otherwise
+        with pytest.raises(ConstructionError, match="bad random fixture seed"):
+            fixture(name)
+
+    def test_every_accepted_name_is_the_name_built(self):
+        names = fixture_names() + ["random-0", "random--3"]
+        for name in names + [f"random-{seed}" for seed in range(51)]:
+            assert fixture(name).name == name
 
 
 @pytest.mark.parametrize("max_bricks, grid, name", [

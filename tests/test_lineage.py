@@ -29,7 +29,6 @@ from bricks.complexes import (
     validate,
 )
 from bricks.constructions import (
-    ZZParams,
     random_rectilinear,
     zz_embedded,
     zz_immersed,
@@ -156,7 +155,7 @@ def sheared_standard_chain(c: BrickComplex, affine, times: int):
 
 
 def zz(side):
-    return zz_embedded(ZZParams(cube_side=side))
+    return zz_embedded(side)
 
 
 def polycubes(transform=lambda c: c):

@@ -22,7 +22,7 @@ from functools import cache
 from itertools import combinations, product
 
 from bricks.complexes import brick_complex, validate
-from bricks.constructions import ZZParams, zz_embedded
+from bricks.constructions import zz_embedded
 from bricks.geometry import Brick, Vec3
 from bricks.refinement import apply_schedule, standard_zz_schedule
 from bricks.surface import surface_stats
@@ -156,7 +156,7 @@ def corpus():
     """zz-embedded at sides 4 and 7/2, each refined with the parents of
     DROPPED left out: 18 complexes, the 7/2 ones on Fraction coordinates."""
     for side in (4, Fraction(7, 2)):
-        zz = zz_embedded(ZZParams(cube_side=side))
+        zz = zz_embedded(side)
         yield zz
         for labels in DROPPED:
             yield refined(without(zz, labels))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bricks.complexes import validate
+from bricks.complexes import brick_complex, validate
 from bricks.constructions import fixture, zz_immersed
 from bricks.geometry import Brick, ContactKind, brick_from_box, classify_contact, vec3
 from bricks.refinement import (
@@ -49,6 +49,11 @@ class TestSplitAt:
     def test_bad_fraction_rejected(self, t):
         with pytest.raises(RefinementError):
             split_many(UNIT, 0, [t])
+
+    def test_fraction_given_as_text_rejected_naming_the_brick(self):
+        a = brick_from_box((0, 0, 0), (1, 1, 1), "a")
+        with pytest.raises(RefinementError, match="brick 'a'"):
+            split_many(a, 0, ["1/2"])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -160,6 +165,12 @@ class TestApplySchedule:
         )
         assert len(refined) == 3
         assert sum(b.det for b in refined.bricks) == 1
+
+    def test_float_split_fraction_rejected_naming_the_parent(self):
+        # a float once reached the child's coordinates, and the error named a/s0
+        c = brick_complex([brick_from_box((0, 0, 0), (1, 1, 1), "a")])
+        with pytest.raises(RefinementError, match="brick 'a':"):
+            apply_schedule(c, {"a": SplitAt(0, (0.5,))})
 
     def test_bad_split_fractions_rejected(self):
         c = fixture("cube")

@@ -26,7 +26,7 @@ from bricks.complexes import (
     _aabb_meeting_pairs,
     validate,
 )
-from bricks.constructions import ZZParams, zz_embedded, zz_immersed
+from bricks.constructions import zz_embedded, zz_immersed
 from bricks.fileformats import emit_complex, parse_complex
 from bricks.geometry import (
     Brick,
@@ -188,7 +188,7 @@ def skew_pairs_and_keys(complex: BrickComplex):
 @cache
 def zz_chain(side):
     """zz-embedded of this cube side, refined zero, one and two times."""
-    chain = [zz_embedded(ZZParams(cube_side=side))]
+    chain = [zz_embedded(side)]
     for _ in range(2):
         chain.append(apply_schedule(chain[-1], standard_zz_schedule(chain[-1])))
     return chain

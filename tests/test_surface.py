@@ -222,6 +222,12 @@ class TestGenusFromChi:
         with pytest.raises(TopologyError):
             genus_from_chi(4)
 
+    @pytest.mark.parametrize("chi", [-4.0, Fraction(-4)], ids=["float", "Fraction"])
+    def test_chi_not_an_int_rejected(self, chi):
+        # each once gave the float or Fraction genus 3
+        with pytest.raises(TopologyError, match="not an int"):
+            genus_from_chi(chi)
+
 
 class TestPieceTables:
     def test_buttressed_octahedron_table(self):
@@ -274,6 +280,14 @@ class TestPieceTables:
             PieceRow("r", 0, 1, 1, 1)
         with pytest.raises(ValueError):
             PieceRow("r", 1, -1, 1, 1)
+
+    @pytest.mark.parametrize("counts", [(1.5, 8, 12, 6), (True, 8, 12, 6),
+                                        (1, True, 12, 6), (1, 8, 12, 6.0)],
+                             ids=["float-multiplicity", "bool-multiplicity",
+                                  "bool-vertices", "float-faces"])
+    def test_count_not_an_int_rejected(self, counts):
+        with pytest.raises(ValueError, match="non-int count"):
+            PieceRow("x", *counts)
 
 
 class TestVoxelOracle:
