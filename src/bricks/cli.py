@@ -232,8 +232,8 @@ def cmd_table_chi(args) -> int:
 def cmd_build(args) -> int:
     if args.name in ("zz-immersed", "zz-embedded"):
         construct = zz_immersed if args.name == "zz-immersed" else zz_embedded
-        side = "4" if args.cube_side is None else args.cube_side
-        complex = construct(scalar(side))
+        complex = (construct() if args.cube_side is None
+                   else construct(scalar(args.cube_side)))
     elif args.cube_side is not None:
         raise CliError("--cube-side applies only to zz-immersed and zz-embedded")
     else:

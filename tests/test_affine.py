@@ -38,8 +38,8 @@ from bricks.geometry import (
     det3,
     vec3,
 )
-from bricks.refinement import apply_schedule, standard_zz_schedule
 from bricks.surface import surface_stats, voxel_chi
+from support import affine, transformed, zz_level
 
 F = Fraction
 
@@ -60,31 +60,6 @@ CASE_IDS = [name if side == 4 else f"side-{side}-{name}".replace("/", "_")
             for side, name in CASES]
 
 
-def linear(m):
-    return lambda p: vec3(*(sum(r[k] * p[k] for k in range(3)) for r in m))
-
-
-def affine(name):
-    m, t = MAPS[name]
-    apply, shift = linear(m), vec3(*t)
-    return lambda p: apply(p) + shift
-
-
-@cache
-def original(side=4):
-    c = zz_embedded(side)
-    return apply_schedule(c, standard_zz_schedule(c))
-
-
-def transformed(c, m, t=(0, 0, 0)):
-    apply, shift = linear(m), vec3(*t)
-    return brick_complex(
-        (Brick(b.id, apply(b.origin) + shift, apply(b.u), apply(b.v), apply(b.w))
-         for b in c),
-        name=c.name,
-    )
-
-
 def mapped(c, name):
     return transformed(c, *MAPS[name])
 
@@ -95,7 +70,7 @@ def scaled(c, k):
 
 @cache
 def image(name, side=4):
-    return mapped(original(side), name)
+    return mapped(zz_level(side, 1), name)
 
 
 def test_maps_are_invertible_with_the_stated_determinants_and_denominators():
@@ -112,19 +87,19 @@ def test_maps_are_invertible_with_the_stated_determinants_and_denominators():
         assert any(type(x) is Fraction and x.denominator % d == 0
                    for x in coordinates)
     # a map with det < 0 makes construction swap two generators of each brick
-    for b, c in zip(original(), image("det-minus-1")):
-        assert c.v == linear(MAPS["det-minus-1"][0])(b.w)
+    for b, c in zip(zz_level(4, 1), image("det-minus-1")):
+        assert c.v == affine(MAPS["det-minus-1"][0])(b.w)
 
 
 @pytest.mark.parametrize("side, name", CASES, ids=CASE_IDS)
 def test_contacts_map_to_contacts(side, name):
-    before, after = validate(original(side)), validate(image(name, side))
+    before, after = validate(zz_level(side, 1)), validate(image(name, side))
     assert [(pc.a, pc.b, pc.contact.kind) for pc in after.contacts] == [
         (pc.a, pc.b, pc.contact.kind) for pc in before.contacts]
     kinds = {pc.contact.kind for pc in before.contacts}
     assert kinds == {ContactKind.POINT, ContactKind.WHOLE_EDGE, ContactKind.WHOLE_FACE}
-    f = affine(name)
-    old = {b.id: b for b in original(side)}
+    f = affine(*MAPS[name])
+    old = {b.id: b for b in zz_level(side, 1)}
     new = {b.id: b for b in image(name, side)}
     for pc, qc in zip(before.contacts, after.contacts):
         x, y = pc.contact, qc.contact
@@ -138,7 +113,7 @@ def test_contacts_map_to_contacts(side, name):
 
 @pytest.mark.parametrize("side, name", CASES, ids=CASE_IDS)
 def test_graph_and_topology_do_not_change(side, name):
-    c, d = original(side), image(name, side)
+    c, d = zz_level(side, 1), image(name, side)
     g, h = brick_graph(c, validate(c)), brick_graph(d, validate(d))
     assert (h.nodes, h.arcs) == (g.nodes, g.arcs)
     s, t = surface_stats(c, validate(c)), surface_stats(d, validate(d))
@@ -187,7 +162,7 @@ def pinch():
                          ids=lambda name: name or "as-built")
 def test_two_frame_pinch_meets_at_one_point_under_every_map(name):
     c = pinch() if name is None else mapped(pinch(), name)
-    corner = vec3(1, 1, 1) if name is None else affine(name)(vec3(1, 1, 1))
+    corner = vec3(1, 1, 1) if name is None else affine(*MAPS[name])(vec3(1, 1, 1))
     report = validate(c)
     assert [(pc.contact.kind, pc.contact.points) for pc in report.contacts] == [
         (ContactKind.POINT, (corner,))]

@@ -52,6 +52,14 @@ from bricks.refinement import (
     two_opposite_covered,
 )
 from bricks.surface import exposed_faces, surface_stats
+from support import (
+    classified_report,
+    refined,
+    standard_chain,
+    transformed,
+    typed_report,
+    zz_level,
+)
 
 
 def cubes_at(*cells):
@@ -234,59 +242,18 @@ def test_validation_permutation_invariant(seed):
     }
 
 
-def brute_force_report(complex):
-    """Test-only oracle for validate's broad phase: classify all n(n-1)/2
-    pairs, mirrored and sorted as validate does."""
-    records = []
-    bricks = complex.bricks
-    for i, j in combinations(range(len(bricks)), 2):
-        contact = classify_contact(bricks[i], bricks[j])
-        if contact.kind is ContactKind.DISJOINT:
-            continue
-        a, b = bricks[i].id, bricks[j].id
-        if a > b:
-            a, b = b, a
-            contact = contact.mirrored()
-        records.append(PairContact(a, b, contact))
-    records.sort(key=lambda pc: (pc.a, pc.b))
-    return ValidationReport(complex.bricks, contacts=tuple(records))
-
-
-def refined(build, times):
-    c = build()
-    for _ in range(times):
-        c = apply_schedule(c, standard_zz_schedule(c))
-    return c
-
-
-def sheared(c, m=((1, 1, 1), (0, 1, 1), (0, 0, 1))):
-    def apply(p):
-        return vec3(*(sum(r[k] * p[k] for k in range(3)) for r in m))
-
-    return brick_complex(
-        Brick(b.id, apply(b.origin), apply(b.u), apply(b.v), apply(b.w))
-        for b in c
-    )
-
-
 class TestSlottedRecords:
     """Contact and PairContact are frozen dataclasses with __slots__: no
     per-instance dict, yet immutable, hashable and picklable as before."""
 
     SKEW = {
         # one frame, Fraction coordinates: every pair co-framed
-        "sheared-polycube": lambda: sheared(
+        "sheared-polycube": lambda: transformed(
             random_rectilinear(3),
             ((1, Fraction(1, 2), 0), (0, 1, Fraction(1, 3)), (0, 0, 1))),
         # eleven frames: co-framed and skew pairs
         "zz-embedded-7/2": lambda: zz_embedded(Fraction(7, 2)),
     }
-
-    @staticmethod
-    def typed(report):
-        return [(pc.a, pc.b, pc.contact.kind, pc.contact.face_a, pc.contact.face_b,
-                 [[(type(x), x) for x in p] for p in pc.contact.points])
-                for pc in report.contacts]
 
     def test_no_instance_dict_and_frozen_fields(self):
         contact = Contact(ContactKind.POINT, (vec3(0, 0, 0),))
@@ -318,35 +285,39 @@ class TestSlottedRecords:
                    for pc in report.contacts for p in pc.contact.points for x in p)
         for copied in (pickle.loads(pickle.dumps(report)), copy.deepcopy(report)):
             assert copied == report
-            assert self.typed(copied) == self.typed(report)
+            assert typed_report(copied) == typed_report(report)
             assert copied.bricks == report.bricks
+
+
+# an integer shear of det 1 that takes every axis but x off-axis
+SHEAR = ((1, 1, 1), (0, 1, 1), (0, 0, 1))
 
 
 class TestBroadPhaseMatchesBruteForce:
     @pytest.mark.parametrize("name", fixture_names())
     def test_fixtures(self, name):
         c = fixture(name)
-        assert validate(c) == brute_force_report(c)
+        assert validate(c) == classified_report(c)
 
     def test_random_polycubes(self):
         for seed in range(1, 51):
             c = random_rectilinear(seed)
-            assert validate(c) == brute_force_report(c)
+            assert validate(c) == classified_report(c)
 
     @pytest.mark.parametrize("times", [0, 1, 2])
     def test_refined_zz_embedded(self, times):
-        c = refined(zz_embedded, times)
-        assert validate(c) == brute_force_report(c)
+        c = zz_level(4, times)
+        assert validate(c) == classified_report(c)
 
     def test_zz_immersed(self):
         c = zz_immersed()
-        assert validate(c) == brute_force_report(c)
+        assert validate(c) == classified_report(c)
 
     def test_sheared_polycubes(self):
         for seed in range(1, 21):
-            c = sheared(random_rectilinear(seed))
+            c = transformed(random_rectilinear(seed), SHEAR)
             assert all(b.box is None for b in c)
-            assert validate(c) == brute_force_report(c)
+            assert validate(c) == classified_report(c)
 
 
 halves = st.integers(0, 8).map(lambda k: Fraction(k, 2))
@@ -388,7 +359,7 @@ def sweep_complexes(draw):
     Brick("b", vec3(2, 0, 0), vec3(1, 0, 0), vec3(1, 1, 0), vec3(1, 1, 1)),
 ]))
 def test_broad_phase_matches_brute_force_on_sweep_stressing_bricks(c):
-    assert validate(c) == brute_force_report(c)
+    assert validate(c) == classified_report(c)
 
 
 def aabbs_meet(a: Brick, b: Brick) -> bool:
@@ -517,13 +488,10 @@ def test_suite_complexes_classify_at_most_half_the_pair_budget(monkeypatch):
     ]
     assert all(n * (n - 1) // 2 <= pair_budget(n) // 2 for n in range(134))
     assert max(map(len, small)) <= 133
-    large = [cubes_at(*product(range(10), repeat=3)),
-             refined(zz_immersed, 1)]
+    large = [cubes_at(*product(range(10), repeat=3)), refined(zz_immersed())]
     for side, times in ((4, 3), (3, 2), (Fraction(7, 2), 2)):
-        chain = [zz_embedded(side)]
-        for _ in range(times):
-            chain.append(apply_schedule(chain[-1], standard_zz_schedule(chain[-1])))
-        large += chain
+        chain = standard_chain(zz_embedded(side), times)
+        large += [chain[0][0], *(c for _, c in chain)]
     for c in large:
         validate(c)
         sweep = sum(1 for _ in _aabb_meeting_pairs(c.bricks))

@@ -20,12 +20,9 @@ from bricks.constructions import (
 )
 from bricks.fileformats import emit_complex
 from bricks.geometry import ContactKind, vec3
-from bricks.refinement import (
-    apply_schedule,
-    standard_zz_schedule,
-    two_opposite_covered,
-)
+from bricks.refinement import two_opposite_covered
 from bricks.surface import surface_stats
+from support import zz_level
 
 
 class TestZZImmersed:
@@ -119,8 +116,7 @@ class TestZZEmbedded:
         assert s.genus == 3
 
     def test_refined_object_is_cornerless(self):
-        c = zz_embedded()
-        refined = apply_schedule(c, standard_zz_schedule(c))
+        refined = zz_level(4, 1)
         assert len(refined) == 72
         g = brick_graph(refined, validate(refined))
         assert g.min_degree >= 4

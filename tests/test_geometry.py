@@ -6,15 +6,14 @@ over all triples of defining planes for skew pairs.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import ceil, floor, gcd, lcm
+from itertools import product
+from math import ceil, floor
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bricks.complexes import BrickComplex, validate
-from bricks.constructions import zz_embedded
 from bricks.fileformats import emit_complex, parse_complex
 from bricks.geometry import (
     DISJOINT,
@@ -37,7 +36,15 @@ from bricks.geometry import (
     scalar,
     vec3,
 )
-from bricks.refinement import apply_schedule, standard_zz_schedule
+from support import (
+    fresh,
+    inside,
+    planes,
+    primitive,
+    triple_enumeration_vertices,
+    typed,
+    zz_level,
+)
 
 
 def box(lo, hi, label="b"):
@@ -460,24 +467,6 @@ class TestClassifyExamples:
         assert (c.face_a, c.face_b) == (5, 4)
 
 
-def planes(brick: Brick):
-    """Per generator k: (n, lo, hi), with n = g_{k+1} x g_{k+2} and p in the
-    brick iff lo <= n.p <= hi in all three; n.g_k = det > 0, so the range is
-    [n.o, n.o + det]. Written here so that the oracles share no slab code
-    with the classifier."""
-    o, gens = brick.origin, brick.generators
-    out = []
-    for k in range(3):
-        n = gens[(k + 1) % 3].cross(gens[(k + 2) % 3])
-        out.append((n, n.dot(o), n.dot(o) + brick.det))
-    return out
-
-
-def inside(brick_planes, p) -> bool:
-    """Closed containment of p in the brick with these planes."""
-    return all(lo <= n.dot(p) <= hi for n, lo, hi in brick_planes)
-
-
 def rasterized_dim(a: Brick, b: Brick) -> int:
     """Spec oracle: sample the closed intersection on the half-integer grid
     of [0, 8]^3 and read the dimension off the per-axis extent pattern.
@@ -558,35 +547,6 @@ class TestClassifyProperties:
         assert b.det > 0
 
 
-def triple_enumeration_vertices(a: Brick, b: Brick):
-    """Independent oracle: every vertex of the intersection polytope lies on
-    three defining planes with independent normals; enumerate all triples of
-    the 12 planes and filter by the inequalities."""
-    pa, pb = planes(a), planes(b)
-    bounding = [(n, d) for n, lo, hi in pa + pb for d in (lo, hi)]
-    found = set()
-    for (n1, d1), (n2, d2), (n3, d3) in combinations(bounding, 3):
-        det = det3(n1, n2, n3)
-        if det == 0:
-            continue
-        # Cramer's rule, exact
-        def col(i):
-            rhs = (d1, d2, d3)
-            m = [[n1, n2, n3][r] for r in range(3)]
-            cols = [[m[r][c] for r in range(3)] for c in range(3)]
-            cols[i] = list(rhs)
-            return det3(
-                vec3(cols[0][0], cols[1][0], cols[2][0]),
-                vec3(cols[0][1], cols[1][1], cols[2][1]),
-                vec3(cols[0][2], cols[1][2], cols[2][2]),
-            )
-
-        p = vec3(Fraction(col(0), det), Fraction(col(1), det), Fraction(col(2), det))
-        if inside(pa, p) and inside(pb, p):
-            found.add(p)
-    return sorted(found)
-
-
 @settings(max_examples=25, deadline=None)
 @given(small_bricks("a"), small_bricks("b"))
 @skew_examples
@@ -602,11 +562,6 @@ def clip_contact(a: Brick, b: Brick):
     return _classify_from_vertices(a, b, _affine_dim(verts), verts)
 
 
-def typed(contact):
-    return (contact.kind, contact.face_a, contact.face_b,
-            [[(type(c), c) for c in p] for p in contact.points])
-
-
 @settings(max_examples=200, deadline=None)
 @given(coframed_pairs())
 @coframed_examples
@@ -618,11 +573,6 @@ def test_coframed_intervals_match_clip(pair):
     assert a._frame[0] == b._frame[0]
     for x, y in ((a, b), (b, a)):
         assert typed(classify_contact(x, y)) == typed(clip_contact(x, y))
-
-
-def fresh(brick: Brick) -> Brick:
-    """An equal brick with nothing cached."""
-    return Brick(brick.id, brick.origin, brick.u, brick.v, brick.w)
 
 
 # Bricks of the unimodular frame, given by their frame coordinates, met in
@@ -666,8 +616,7 @@ def test_one_brick_meets_many_of_another_frame():
 def test_validate_with_shared_bricks_matches_a_fresh_parse():
     """Two complexes share Brick objects, so the second validate starts with
     the extents the first one kept; it must equal a validate from scratch."""
-    c = zz_embedded()
-    bricks = tuple(map(fresh, apply_schedule(c, standard_zz_schedule(c)).bricks))
+    bricks = fresh(zz_level(4, 1)).bricks
     assert validate(BrickComplex(bricks[:36])).contacts
     report = validate(BrickComplex(bricks))
     assert report == validate(parse_complex(emit_complex(BrickComplex(bricks))))
@@ -683,13 +632,6 @@ def test_validate_with_shared_bricks_matches_a_fresh_parse():
 def exact(q):
     """q as Vec3 arithmetic gives it: an int when integral."""
     return q.numerator if type(q) is Fraction and q.denominator == 1 else q
-
-
-def primitive(g: Vec3) -> Vec3:
-    m = lcm(*(Fraction(c).denominator for c in g))
-    ints = [int(c * m) for c in g]
-    q = gcd(*ints) if next(c for c in ints if c) > 0 else -gcd(*ints)
-    return Vec3(*(c // q for c in ints))
 
 
 def direct_geometry(b: Brick):
@@ -856,10 +798,7 @@ def test_refined_zz_levels_fill_one_entry_per_triple_and_frame():
     121 entries however many skew pairs it classifies; the cache has the
     shape cache's bound."""
     assert _extents.cache_info().maxsize == _shape.cache_info().maxsize
-    c = zz_embedded()
-    for _ in range(3):
-        c = apply_schedule(c, standard_zz_schedule(c))
-    c = parse_complex(emit_complex(c))
+    c = fresh(zz_level(4, 3))
     assert len(c) == 2688
     assert len({b.generators for b in c}) == len({b._frame[0] for b in c}) == 11
     _extents.cache_clear()

@@ -45,6 +45,7 @@ from bricks.refinement import (
     long_direction,
     standard_zz_schedule,
 )
+from support import affine, standard_chain, transformed, typed_report, zz_level
 
 HALF = Fraction(1, 2)
 FRACTIONS = sorted({Fraction(n, d) for d in (2, 3, 4, 5) for n in range(1, d)})
@@ -59,30 +60,6 @@ SHEARS = {
                   (1, 0, Fraction(-1, 7))),
                  (HALF, Fraction(-2, 3), Fraction(3, 11))),
 }
-
-
-def typed(contact):
-    return (contact.kind, contact.face_a, contact.face_b,
-            [[(type(c), c) for c in p] for p in contact.points])
-
-
-def typed_report(report):
-    return [(pc.a, pc.b, typed(pc.contact)) for pc in report.contacts]
-
-
-def linear(m):
-    return lambda p: vec3(*(sum(r[k] * p[k] for k in range(3)) for r in m))
-
-
-def sheared(c: BrickComplex, affine) -> BrickComplex:
-    m, t = affine
-    apply, shift = linear(m), vec3(*t)
-    return BrickComplex(
-        tuple(Brick(b.id, apply(b.origin) + shift, apply(b.u), apply(b.v),
-                    apply(b.w))
-              for b in c),
-        name=c.name,
-    )
 
 
 def with_overlap(c: BrickComplex) -> BrickComplex:
@@ -123,23 +100,14 @@ def uniform_schedule(rng: random.Random, c: BrickComplex) -> dict:
     return dict.fromkeys(c.labels, op)
 
 
-def standard_chain(c: BrickComplex, times: int):
-    """(parent, refined) for each of times standard refinements of c."""
-    out = []
-    for _ in range(times):
-        refined = apply_schedule(c, standard_zz_schedule(c))
-        out.append((c, refined))
-        c = refined
-    return out
-
-
-def sheared_standard_chain(c: BrickComplex, affine, times: int):
-    """standard_chain of c under the affine map. A shear changes which bricks
-    are cube-shaped and which generator is longest, so each step takes its
-    schedule from the unsheared complex, each quarter direction carried to
-    the sheared brick's generator that is the image of the long one."""
-    apply = linear(affine[0])
-    sc, out = sheared(c, affine), []
+def sheared_standard_chain(c: BrickComplex, shear, times: int):
+    """standard_chain of c under the affine map shear, an (m, t) of SHEARS.
+    A shear changes which bricks are cube-shaped and which generator is
+    longest, so each step takes its schedule from the unsheared complex,
+    each quarter direction carried to the sheared brick's generator that is
+    the image of the long one."""
+    apply = affine(shear[0])
+    sc, out = transformed(c, *shear), []
     for _ in range(times):
         schedule = {}
         for b, sb in zip(c, sc):
@@ -191,7 +159,7 @@ GROUPS = {
     "zz-random": lambda: [*randomly_refined(with_overlap(zz(4)), 1, 2),
                           *randomly_refined(zz_immersed(), 2, 1)],
     "polycubes": polycubes,
-    **{f"polycubes-{name}": (lambda a=a: polycubes(lambda c: sheared(c, a)))
+    **{f"polycubes-{name}": (lambda a=a: polycubes(lambda c: transformed(c, *a)))
        for name, a in SHEARS.items()},
 }
 
@@ -289,7 +257,7 @@ def counted(monkeypatch, calls, validated):
 
 def test_refined_zz_embedded_classifies_only_its_contacts(monkeypatch):
     for side in (4, 3):
-        (_, c), = standard_chain(zz(side), 1)
+        c = zz_level(side, 1)
         validate(c)
         calls = []
         refined = counted(monkeypatch, calls,
@@ -299,10 +267,10 @@ def test_refined_zz_embedded_classifies_only_its_contacts(monkeypatch):
 
 
 def test_a_copy_with_other_bricks_is_swept():
-    (_, refined), = standard_chain(zz_embedded(), 1)
+    c = zz_level(4, 1)
     t = vec3(1, 0, 0)
-    moved = tuple(Brick(b.id, b.origin + t, b.u, b.v, b.w) for b in refined)
-    copy = dataclasses.replace(refined, bricks=moved)
+    moved = tuple(Brick(b.id, b.origin + t, b.u, b.v, b.w) for b in c)
+    copy = dataclasses.replace(c, bricks=moved)
     assert copy._pairs is None
     assert validate(copy) == validate(BrickComplex(moved))
 
@@ -336,9 +304,9 @@ def split_cases():
         c = zz(side)
         for _ in range(3):
             yield c, {b.id: SplitAt(0, cuts()) for b in c if b.id[0] in "XZ"}
-    for affine in SHEARS.values():
+    for shear in SHEARS.values():
         for seed in range(1, 11):
-            c = sheared(random_rectilinear(seed, max_bricks=20), affine)
+            c = transformed(random_rectilinear(seed, max_bricks=20), *shear)
             yield c, dict.fromkeys(c.labels, SplitAt(rng.randrange(3), cuts()))
 
 

@@ -9,12 +9,12 @@ twice that sum.
 
 Nothing here shares code with the classifier's frames or slab extents: a
 pair's intersection is what triple_enumeration_vertices finds from the
-test-local planes, and a larger set's is that of the set less its last
-brick, clipped by that brick's six half-spaces and pruned to its extreme
-points by an exact hull. A set grows only by a brick that meets each of its
-members. The corpus is zz-embedded, whose 14 bricks have 11 frames, its
-refinement, and refinements that leave out whole parents, so that handles
-break and chi varies.
+test-side planes, once per pair up to translation, and a larger set's is
+that of the set less its last brick, clipped by that brick's six
+half-spaces and pruned to its extreme points by an exact hull. A set grows
+only by a brick that meets each of its members. The corpus is zz-embedded,
+whose 14 bricks have 11 frames, its refinement, and refinements that leave
+out whole parents, so that handles break and chi varies.
 """
 
 from fractions import Fraction
@@ -22,11 +22,11 @@ from functools import cache
 from itertools import combinations, product
 
 from bricks.complexes import brick_complex, validate
-from bricks.constructions import zz_embedded
 from bricks.geometry import Brick, Vec3
-from bricks.refinement import apply_schedule, standard_zz_schedule
 from bricks.surface import surface_stats
-from test_geometry import planes, primitive, triple_enumeration_vertices
+from support import planes, primitive, refined, triple_enumeration_vertices, zz_level
+
+ORIGIN = Vec3(0, 0, 0)
 
 
 def bounds(b: Brick):
@@ -68,6 +68,8 @@ def clip(points, brick_planes) -> list[Vec3]:
     half-space, the points inside it and the crossings of every chord
     between a point inside and one outside, pruned."""
     for n, lo, hi in brick_planes:
+        if all(lo <= n.dot(p) <= hi for p in points):
+            continue
         for sign, bound in ((1, lo), (-1, hi)):
             f = [sign * (n.dot(p) - bound) for p in points]  # inside iff >= 0
             if min(f) >= 0:
@@ -81,10 +83,18 @@ def clip(points, brick_planes) -> list[Vec3]:
     return points
 
 
+def meet(a: Brick, b: Brick) -> list[Vec3]:
+    """The vertices of a ∩ b, [] if disjoint."""
+    return [p + a.origin for p in meet_at_origin(*a.generators, *b.generators,
+                                                 b.origin - a.origin)]
+
+
 @cache
-def meet(a: Brick, b: Brick) -> tuple:
-    """The vertices of a ∩ b, () if disjoint."""
-    return tuple(triple_enumeration_vertices(a, b))
+def meet_at_origin(au, av, aw, bu, bv, bw, offset) -> tuple:
+    """The vertices of a ∩ b for a placed at the origin and b at offset:
+    a ∩ b moves with a and b, so translates of one pair enumerate once."""
+    return tuple(triple_enumeration_vertices(Brick("a", ORIGIN, au, av, aw),
+                                             Brick("b", offset, bu, bv, bw)))
 
 
 def nerve_chi(bricks) -> int:
@@ -97,7 +107,7 @@ def nerve_chi(bricks) -> int:
         if all(alo <= bhi and blo <= ahi
                for (alo, ahi), (blo, bhi) in zip(box[i], box[j])):
             if points := meet(bricks[i], bricks[j]):
-                meets[i, j] = list(points)
+                meets[i, j] = points
                 near[i].add(j)
                 near[j].add(i)
     cuts = [planes(b) for b in bricks]
@@ -135,10 +145,6 @@ def test_nerve_of_a_cube_block_and_a_ring():
     assert nerve_chi(cube(*c) for c in ring) == 0
 
 
-def refined(parents):
-    return apply_schedule(parents, standard_zz_schedule(parents))
-
-
 def without(complex, labels):
     return brick_complex([b for b in complex if b.id not in labels],
                          name=f"{complex.name}-{'-'.join(labels)}")
@@ -156,7 +162,7 @@ def corpus():
     """zz-embedded at sides 4 and 7/2, each refined with the parents of
     DROPPED left out: 18 complexes, the 7/2 ones on Fraction coordinates."""
     for side in (4, Fraction(7, 2)):
-        zz = zz_embedded(side)
+        zz = zz_level(side)
         yield zz
         for labels in DROPPED:
             yield refined(without(zz, labels))

@@ -12,7 +12,6 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from functools import cache
 from itertools import product
 
 import pytest
@@ -22,12 +21,10 @@ from hypothesis import strategies as st
 from bricks import geometry
 from bricks.complexes import (
     BrickComplex,
-    PairContact,
     _aabb_meeting_pairs,
     validate,
 )
-from bricks.constructions import zz_embedded, zz_immersed
-from bricks.fileformats import emit_complex, parse_complex
+from bricks.constructions import zz_immersed
 from bricks.geometry import (
     Brick,
     Contact,
@@ -38,7 +35,7 @@ from bricks.geometry import (
     det3,
     vec3,
 )
-from bricks.refinement import apply_schedule, standard_zz_schedule
+from support import classified_report, fresh, typed, typed_report, zz_level
 
 HALF = Fraction(1, 2)
 ORIGIN = vec3(0, 0, 0)
@@ -51,15 +48,6 @@ def moved(brick: Brick, t) -> Brick:
 def shifted(contact: Contact, t) -> Contact:
     return Contact(contact.kind, tuple(p + t for p in contact.points),
                    contact.face_a, contact.face_b)
-
-
-def typed(contact: Contact):
-    return (contact.kind, contact.face_a, contact.face_b,
-            [[(type(c), c) for c in p] for p in contact.points])
-
-
-def typed_report(report):
-    return [(pc.a, pc.b, typed(pc.contact)) for pc in report.contacts]
 
 
 def memo_key(a: Brick, b: Brick):
@@ -154,28 +142,11 @@ def test_memo_key_tells_shapes_and_offsets_apart():
         (slab, lattice),  # other generators of a at that offset: disjoint
         (moved(cube, vec3(5, 5, 5)), moved(lattice, vec3(5, 5, 5))),  # a hit
     ]
-    fresh = [typed(classify_contact(a, b)) for a, b in pairs]
-    assert len({repr(c) for c in fresh}) == len(pairs)
+    outside = [typed(classify_contact(a, b)) for a, b in pairs]
+    assert len({repr(c) for c in outside}) == len(pairs)
     with _skew_memo_scope():
-        assert [typed(classify_contact(a, b)) for a, b in pairs] == fresh
+        assert [typed(classify_contact(a, b)) for a, b in pairs] == outside
         assert len(_skew_memo.get()) == len(pairs) - 1
-
-
-def memo_free_report(complex: BrickComplex):
-    """validate's records, each swept pair classified outside a pass."""
-    records = []
-    bricks = complex.bricks
-    for i, j in _aabb_meeting_pairs(bricks):
-        contact = classify_contact(bricks[i], bricks[j])
-        if contact.kind is ContactKind.DISJOINT:
-            continue
-        a, b = bricks[i].id, bricks[j].id
-        if a > b:
-            a, b = b, a
-            contact = contact.mirrored()
-        records.append(PairContact(a, b, contact))
-    records.sort(key=lambda pc: (pc.a, pc.b))
-    return records
 
 
 def skew_pairs_and_keys(complex: BrickComplex):
@@ -183,15 +154,6 @@ def skew_pairs_and_keys(complex: BrickComplex):
     skew = [(bricks[i], bricks[j]) for i, j in _aabb_meeting_pairs(bricks)
             if bricks[i]._frame[0] != bricks[j]._frame[0]]
     return len(skew), len({memo_key(a, b) for a, b in skew})
-
-
-@cache
-def zz_chain(side):
-    """zz-embedded of this cube side, refined zero, one and two times."""
-    chain = [zz_embedded(side)]
-    for _ in range(2):
-        chain.append(apply_schedule(chain[-1], standard_zz_schedule(chain[-1])))
-    return chain
 
 
 # (side, times refined, least skew pairs that repeat an earlier key)
@@ -202,27 +164,26 @@ CORPUS = [(side, times, floor)
 
 @pytest.mark.parametrize("side,times,floor", CORPUS)
 def test_validate_matches_memo_free_classification(side, times, floor):
-    c = zz_chain(side)[times]
+    c = zz_level(side, times)
     skew, keys = skew_pairs_and_keys(c)
     assert skew - keys >= floor
     report = validate(c)
     assert report.properly_joined
-    assert typed_report(report) == [(pc.a, pc.b, typed(pc.contact))
-                                    for pc in memo_free_report(c)]
+    memo_free = classified_report(c, _aabb_meeting_pairs(c.bricks))
+    assert typed_report(report) == typed_report(memo_free)
 
 
 def test_validate_matches_memo_free_classification_on_zz_immersed():
     c = zz_immersed()
     report = validate(c)
     assert report.improper_pairs
-    assert typed_report(report) == [(pc.a, pc.b, typed(pc.contact))
-                                    for pc in memo_free_report(c)]
+    memo_free = classified_report(c, _aabb_meeting_pairs(c.bricks))
+    assert typed_report(report) == typed_report(memo_free)
 
 
 def test_each_pass_clips_each_key_once(monkeypatch):
     """Every pass starts with an empty memo: two passes over fresh copies of
     one complex each classify every distinct key once, no more, no less."""
-    text = emit_complex(zz_chain(4)[1])
     calls = []
 
     def counting(a, b):
@@ -233,7 +194,7 @@ def test_each_pass_clips_each_key_once(monkeypatch):
     monkeypatch.setattr(geometry, "_skew_contact", counting)
     counts = []
     for _ in range(2):
-        c = parse_complex(text)
+        c = fresh(zz_level(4, 1))
         del calls[:]
         validate(c)
         skew, keys = skew_pairs_and_keys(c)
@@ -244,7 +205,7 @@ def test_each_pass_clips_each_key_once(monkeypatch):
 
 def test_no_memo_outlives_a_pass(monkeypatch):
     assert _skew_memo.get() is None
-    validate(parse_complex(emit_complex(zz_chain(4)[1])))
+    validate(fresh(zz_level(4, 1)))
     assert _skew_memo.get() is None
 
     def failing(a, b):
@@ -253,15 +214,15 @@ def test_no_memo_outlives_a_pass(monkeypatch):
         return classify_contact(a, b)
 
     monkeypatch.setattr("bricks.complexes.classify_contact", failing)
-    c = parse_complex(emit_complex(zz_chain(4)[1]))
+    c = fresh(zz_level(4, 1))
     with pytest.raises(RuntimeError, match="mid-pass"):
         validate(c)
     assert _skew_memo.get() is None
 
 
 def test_threads_get_their_own_memo_and_the_serial_reports():
-    texts = [emit_complex(zz_chain(4)[1]), emit_complex(zz_chain(HALF * 7)[1])]
-    serial = [typed_report(validate(parse_complex(t))) for t in texts]
+    sources = [zz_level(4, 1), zz_level(HALF * 7, 1)]
+    serial = [typed_report(validate(fresh(c))) for c in sources]
     both_in_a_pass = threading.Barrier(2, timeout=60)
     results = [None, None]
 
@@ -269,7 +230,7 @@ def test_threads_get_their_own_memo_and_the_serial_reports():
         with _skew_memo_scope():
             memo = _skew_memo.get()
             both_in_a_pass.wait()
-            report = typed_report(validate(parse_complex(texts[k])))
+            report = typed_report(validate(fresh(sources[k])))
             results[k] = (memo, _skew_memo.get() is memo, report)
         results[k] += (_skew_memo.get(),)
 

@@ -28,7 +28,6 @@ from bricks.geometry import (
     Vec3,
     brick_from_box,
     det3,
-    vec3,
 )
 from bricks.refinement import Octasect, apply_schedule, standard_zz_schedule
 from bricks.surface import (
@@ -43,6 +42,7 @@ from bricks.surface import (
     surface_stats,
     voxel_chi,
 )
+from support import affine, transformed, zz_level
 
 
 def stats_of(c):
@@ -402,15 +402,10 @@ class TestOracleEquivalence:
         def face(f):
             return self.FACE_SWAP[f] if flip and f is not None else f
 
-        def apply(p):
-            return vec3(*(sum(r[c] * p[c] for c in range(3)) for r in m))
-
+        apply = affine(m)
         for seed in range(1, 51):
             c, report, stats, chi = polycube_and_oracles(seed)
-            moved = brick_complex(
-                Brick(b.id, apply(b.origin), apply(b.u), apply(b.v), apply(b.w))
-                for b in c
-            )
+            moved = transformed(c, m)
             assert all((b.box is None) == skew for b in moved)
             moved_report = validate(moved)
             assert len(report.contacts) == len(moved_report.contacts)
@@ -611,17 +606,9 @@ def overlapping_boxes(seed):
     return brick_complex(bricks, name=f"boxes-{seed}")
 
 
-def sheared(c, m=((1, 1, 0), (0, 1, 1), (1, 0, 0))):
-    """c moved by the integer shear m (det 1), which takes the x and y axes
-    off-axis, so every unit cube becomes a skew brick."""
-    def apply(p):
-        return vec3(*(sum(r[k] * p[k] for k in range(3)) for r in m))
-
-    return brick_complex(
-        (Brick(b.id, apply(b.origin), apply(b.u), apply(b.v), apply(b.w))
-         for b in c),
-        name=f"sheared-{c.name}",
-    )
+# an integer shear of det 1 that takes the x and y axes off-axis, so every
+# unit cube becomes a skew brick
+SHEAR = ((1, 1, 0), (0, 1, 1), (1, 0, 0))
 
 
 class TestReferenceIdentification:
@@ -665,14 +652,13 @@ class TestReferenceIdentification:
         """The skew path: every brick has off-axis generators, and on a
         4^3 grid many polycubes meet themselves along edges or at points."""
         seen = self.check(
-            sheared(random_rectilinear(seed, max_bricks=60, grid=4))
+            transformed(random_rectilinear(seed, max_bricks=60, grid=4), SHEAR)
             for seed in range(1, 201)
         )
         assert seen["not edge-manifold"] >= 50 and seen["pinched"] >= 5
 
     def test_refined_zz_embedded(self):
-        zz = zz_embedded()
-        refined = apply_schedule(zz, standard_zz_schedule(zz))
+        refined = zz_level(4, 1)
         assert len(refined) == 72 and len({b._frame[0] for b in refined}) == 11
         self.check([refined])
 
