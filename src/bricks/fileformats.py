@@ -8,6 +8,7 @@ exception is mesh export, where viewers require decimals.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -78,6 +79,9 @@ def _parse_scalar(tok: str, line: int, raw: str, index: int) -> Scalar:
 # Scalars are integers or exact fractions "n/d". Ids must be unique and
 # contain no whitespace. Bricks with zero volume are rejected.
 
+# 12 scalars that each match scalar()'s grammar for an integer
+_INT_ROW = re.compile(r"-?[0-9]+(?: -?[0-9]+){11}")
+
 
 def parse_complex(text: str) -> BrickComplex:
     name = ""
@@ -102,7 +106,15 @@ def parse_complex(text: str) -> BrickComplex:
                 raise ParseError(f"duplicate brick id {_quoted(brick_id)}",
                                  line, _column_of(raw, 1))
             seen.add(brick_id)
-            nums = [_parse_scalar(t, line, raw, i + 2) for i, t in enumerate(toks[2:])]
+            scalars = toks[2:]
+            try:  # a row of ASCII integers, the common case, in one step
+                nums = (list(map(int, scalars))
+                        if _INT_ROW.fullmatch(" ".join(scalars)) else None)
+            except ValueError:  # past int()'s digit limit: _parse_scalar says so
+                nums = None
+            if nums is None:
+                nums = [_parse_scalar(t, line, raw, i)
+                        for i, t in enumerate(scalars, start=2)]
             try:
                 bricks.append(
                     Brick(

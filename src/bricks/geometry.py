@@ -26,7 +26,10 @@ Slab data come from one table, ``_extents``, per generator triple and
 frame: each slab's normal and the extents of the brick placed at the
 origin. Bricks with equal generators share one shape: frame key, own-frame
 entry, AABB and vertex offsets and det, each brick adding its origin. Both
-are thread-safe ``functools.lru_cache``s of 1024 immutable entries.
+are thread-safe ``functools.lru_cache``s of 1024 immutable entries, and
+their values are normalized (an integral value is an int). An int plus a
+normalized value is normalized, so a brick with an all-int origin adds it
+with no ``_norm``, and Vec3 sums and differences of ints skip it too.
 
 Within one ``complexes.validate`` pass, skew contacts are memoized by
 translation. Moving both bricks by t keeps the kind and the face indices and
@@ -61,6 +64,11 @@ class GeometryError(ValueError):
 def _norm(q: Scalar) -> Scalar:
     # keep integral values as plain ints: faster arithmetic, cleaner output
     return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
+def _ints(v) -> bool:
+    # an int plus a normalized value is normalized: no _norm needed
+    return type(v[0]) is type(v[1]) is type(v[2]) is int
 
 
 _SCALAR_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -115,7 +123,9 @@ class Vec3(NamedTuple):
 
     Arithmetic demotes integral Fractions back to plain ints, which keeps
     the hot predicates in fast integer arithmetic whenever inputs are
-    integral.
+    integral. A sum or difference whose three results are ints needs no
+    demotion: it is built by tuple.__new__, with no _norm and no call of the
+    Python-level __new__, and equals the demoting path's in value and type.
     """
 
     x: Scalar
@@ -123,18 +133,16 @@ class Vec3(NamedTuple):
     z: Scalar
 
     def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            _norm(self.x + other.x),
-            _norm(self.y + other.y),
-            _norm(self.z + other.z),
-        )
+        x, y, z = self.x + other.x, self.y + other.y, self.z + other.z
+        if type(x) is type(y) is type(z) is int:
+            return tuple.__new__(Vec3, (x, y, z))
+        return Vec3(_norm(x), _norm(y), _norm(z))
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(
-            _norm(self.x - other.x),
-            _norm(self.y - other.y),
-            _norm(self.z - other.z),
-        )
+        x, y, z = self.x - other.x, self.y - other.y, self.z - other.z
+        if type(x) is type(y) is type(z) is int:
+            return tuple.__new__(Vec3, (x, y, z))
+        return Vec3(_norm(x), _norm(y), _norm(z))
 
     def scale(self, k: Scalar) -> "Vec3":
         return Vec3(_norm(self.x * k), _norm(self.y * k), _norm(self.z * k))
@@ -143,11 +151,11 @@ class Vec3(NamedTuple):
         return self.x * other.x + self.y * other.y + self.z * other.z
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
+        return tuple.__new__(Vec3, (
             self.y * other.z - self.z * other.y,
             self.z * other.x - self.x * other.z,
             self.x * other.y - self.y * other.x,
-        )
+        ))
 
     def norm2(self) -> Scalar:
         """Squared Euclidean length (exact)."""
@@ -242,8 +250,12 @@ class Brick:
     @cached_property
     def vertices(self) -> tuple[Point3, ...]:
         ox, oy, oz = self.origin
+        offsets = _shape(self.u, self.v, self.w)[3]
+        if _ints(self.origin):
+            return tuple([tuple.__new__(Vec3, (ox + x, oy + y, oz + z))
+                          for x, y, z in offsets])
         return tuple(Vec3(_norm(ox + x), _norm(oy + y), _norm(oz + z))
-                     for x, y, z in _shape(self.u, self.v, self.w)[3])
+                     for x, y, z in offsets)
 
     @cached_property
     def edge_index(self) -> dict[tuple[Point3, Point3], int]:
@@ -260,6 +272,8 @@ class Brick:
     @cached_property
     def aabb(self) -> tuple[tuple[Scalar, Scalar], ...]:
         ends = _shape(self.u, self.v, self.w)[2]
+        if _ints(self.origin):
+            return tuple([(c + lo, c + hi) for c, (lo, hi) in zip(self.origin, ends)])
         return tuple((_norm(c + lo), _norm(c + hi))
                      for c, (lo, hi) in zip(self.origin, ends))
 
@@ -280,10 +294,13 @@ class Brick:
         brick is the points p with lo <= n.p <= hi in all three; generator j
         is the one not orthogonal to n, flip whether n.g_j < 0."""
         key, slabs = _shape(self.u, self.v, self.w)[:2]
-        out = []
+        out, ints = [], _ints(self.origin)
         for n, lo, hi, _, rates in slabs:
             base, j = n.dot(self.origin), 0 if rates[0] else 1 if rates[1] else 2
-            out.append((n, _norm(base + lo), _norm(base + hi), j, rates[j] < 0))
+            lo, hi = base + lo, base + hi
+            if not ints:
+                lo, hi = _norm(lo), _norm(hi)
+            out.append((n, lo, hi, j, rates[j] < 0))
         return key, tuple(out)
 
 
@@ -305,8 +322,8 @@ def _shape(u: Vec3, v: Vec3, w: Vec3):
         q = gcd(*ints) * (1 if next(c for c in ints if c) > 0 else -1)
         dirs.append(Vec3(*(c // q for c in ints)))
     key = tuple(sorted(dirs))
-    box = tuple((sum(c for c in cs if c < 0), sum(c for c in cs if c > 0))
-                for cs in zip(u, v, w))
+    box = tuple((_norm(sum(c for c in cs if c < 0)),
+                 _norm(sum(c for c in cs if c > 0))) for cs in zip(u, v, w))
     offsets = tuple(u.scale(a) + v.scale(b) + w.scale(c) for a, b, c in VERTEX_COEFFS)
     return key, _extents(u, v, w, key), box, offsets, _norm(det3(u, v, w))
 
@@ -476,18 +493,18 @@ def _classify_from_vertices(a: Brick, b: Brick, dim: int, verts) -> Contact:
     if dim < 0:
         return DISJOINT
     if dim == 0:
-        return Contact(ContactKind.POINT, points=(verts[0],))
+        return Contact(ContactKind.POINT, (verts[0],))
     if dim == 1:
         seg = (verts[0], verts[-1])  # verts sorted and collinear
         if seg in a.edge_index and seg in b.edge_index:
-            return Contact(ContactKind.WHOLE_EDGE, points=seg)
+            return Contact(ContactKind.WHOLE_EDGE, seg)
         return Contact(ContactKind.PARTIAL_EDGE)
     if dim == 2:
         vset = frozenset(verts)
         fa = next((f for f in range(6) if frozenset(a.face_polygon(f)) == vset), None)
         fb = next((f for f in range(6) if frozenset(b.face_polygon(f)) == vset), None)
         if fa is not None and fb is not None:
-            return Contact(ContactKind.WHOLE_FACE, face_a=fa, face_b=fb)
+            return Contact(ContactKind.WHOLE_FACE, (), fa, fb)
         return Contact(ContactKind.PARTIAL_FACE)
     return Contact(ContactKind.VOLUME_OVERLAP)
 
@@ -514,15 +531,15 @@ def _coframed_contact(a: Brick, b: Brick) -> Contact:
         return Contact(ContactKind.VOLUME_OVERLAP)
     if dim == 2:
         if whole:
-            return Contact(ContactKind.WHOLE_FACE, face_a=fa, face_b=fb)
+            return Contact(ContactKind.WHOLE_FACE, (), fa, fb)
         return Contact(ContactKind.PARTIAL_FACE)
     if dim == 1:
         if whole:
             vs = a.vertices
             p, q = vs[code], vs[code | 4 >> open_j[0]]
-            return Contact(ContactKind.WHOLE_EDGE, points=(p, q) if p < q else (q, p))
+            return Contact(ContactKind.WHOLE_EDGE, (p, q) if p < q else (q, p))
         return Contact(ContactKind.PARTIAL_EDGE)
-    return Contact(ContactKind.POINT, points=(a.vertices[code],))
+    return Contact(ContactKind.POINT, (a.vertices[code],))
 
 
 def _skew_contact(a: Brick, b: Brick) -> Contact:

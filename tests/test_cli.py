@@ -1,14 +1,18 @@
 """End-to-end command-line behavior, including the exit-code contract."""
 
+import hashlib
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from support import transformed, zz_level
 
 from bricks import cli
 from bricks.cli import build_parser, main
+from bricks.constructions import fixture
+from bricks.fileformats import emit_complex
 
 
 def run(capsys, *argv):
@@ -263,6 +267,66 @@ class TestDeterminism:
         assert results[0] == results[1]
         meshes = [run(capsys, "export-obj", zz_file)[1] for _ in range(2)]
         assert meshes[0] == meshes[1]
+
+
+# A det-1 integer shear that moves every axis off-axis.
+SHEAR = ((1, 1, 0), (0, 1, -1), (1, 1, 1))
+
+# sha256 of stdout of validate, graph and genus on each input, recorded
+# before parse_complex, Vec3 and Brick took int-only shortcuts, which must
+# print the same bytes.
+CLI_DIGESTS = {
+    "random-7": {
+        "validate": "f5971c3cb66c01c4c71dadc5ea7d3575f57550c6efbaff6a78b00d888e1867a0",
+        "graph": "1945fd0115fd193bd8b9335c4f11f4cf751c547772b1cd423f925a4129a17a5e",
+        "genus": "8e89f6287c80ea37f0f368c12dd17d2d521e7275713372fa09399e39c1bf911f",
+    },
+    "block-3x3x3": {
+        "validate": "2f3a6c512d1d6bf9bef30a9b94e43124db653f7208282c960c870ee65010a65e",
+        "graph": "b2e7517e45113a3b40540af29db83cb9ccf9d6bf3285d56d89fb120712edd8d8",
+        "genus": "ac148cfc400b1f072c2e9c25416e5943d82b1ff68940c4c90bbe78123aeef178",
+    },
+    "sheared-random-7": {
+        "validate": "5b47b5a70c5ad6e06b29a80ab616ec4df72a67535cede1ef3852c30b4fa8cc75",
+        "graph": "1945fd0115fd193bd8b9335c4f11f4cf751c547772b1cd423f925a4129a17a5e",
+        "genus": "8e89f6287c80ea37f0f368c12dd17d2d521e7275713372fa09399e39c1bf911f",
+    },
+    "zz-embedded-refined": {
+        "validate": "926a4cec0fa2581a959531a78de0f88e186ffb53936b85b317861a8dc133eafe",
+        "graph": "5952d31d5171c79efedd44200da82c8375069a1c4e3fd61478eb17be808ff2c1",
+        "genus": "56309024f3ae1cdd16a1aac97475205575eb39de9255dcb698eb1f7919090092",
+    },
+    "zz-embedded-side-3": {
+        "validate": "bb9f7be756b22b0a53c19c952037f9e6c4b8e6a8073387c9aa35e4f4c26992eb",
+        "graph": "7cbb33c537080903e1282d4886510b554b91c94abd85e2c206cc0a0e872e694d",
+        "genus": "692a5bf85258e454586eebdada9f8f731c772badffeb2bea0cd61cf3c9a9050e",
+    },
+}
+
+
+def digest_input(name: str) -> str:
+    if name == "sheared-random-7":
+        return emit_complex(transformed(fixture("random-7"), SHEAR))
+    if name == "zz-embedded-refined":
+        return emit_complex(zz_level(4, 1))
+    if name == "zz-embedded-side-3":
+        return emit_complex(zz_level(3))
+    return emit_complex(fixture(name))
+
+
+@pytest.mark.parametrize("name", [
+    "random-7", "block-3x3x3", "sheared-random-7", "zz-embedded-refined",
+    "zz-embedded-side-3",
+])
+def test_report_bytes_are_pinned(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.bricks"
+    path.write_text(digest_input(name))
+    digests = {}
+    for command in ("validate", "graph", "genus"):
+        code, out, _ = run(capsys, command, str(path))
+        assert code == 0
+        digests[command] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == CLI_DIGESTS[name]
 
 
 @pytest.mark.parametrize(

@@ -22,8 +22,9 @@ from bricks.fileformats import (
     parse_piece_table,
     parse_schedule,
     _decimal,
+    _parse_scalar,
 )
-from bricks.geometry import GeometryError, brick_from_box
+from bricks.geometry import Brick, GeometryError, Vec3, brick_from_box
 from bricks.refinement import Keep, Octasect, QuarterLengthwise, SplitAt
 from bricks.surface import surface_stats
 
@@ -293,3 +294,64 @@ def test_parsers_raise_only_typed_errors(parse, text):
         parse(text)
     except (ParseError, ComplexError, GeometryError):
         pass
+
+
+# --- integer rows -------------------------------------------------------------
+#
+# parse_complex reads a brick row of 12 ASCII integers through int() in one
+# step and any other row token by token through scalar(); both ways must give
+# the same brick, or the same error at the same line and column.
+
+INT_TOKENS = st.sampled_from(["0", "1", "-1", "2", "-0", "007", "-3"])
+FRACTION_TOKENS = st.sampled_from(["4/2", "1/2", "-3/4"])
+BAD_TOKENS = st.sampled_from([
+    "\u0663", "\uff13",  # Arabic-Indic and fullwidth 3: int() takes them
+    "+3", "1_0",  # int() takes these too
+    "9" * 4301,  # past int()'s digit limit, where there is one
+])
+
+
+def brick_rows(tokens):
+    """Rows 'brick a' and 12 scalars drawn from tokens, then a comment."""
+    return st.builds(lambda nums, sep: sep.join(["brick", "a", *nums]) + "  # row",
+                     st.lists(tokens, min_size=12, max_size=12),
+                     st.sampled_from([" ", "  ", "\t"]))
+
+
+def typed_brick(brick: Brick):
+    """The brick's id and coordinates, each with its type."""
+    points = (brick.origin, *brick.generators)
+    return brick.id, [[(type(c), c) for c in p] for p in points]
+
+
+def per_token(raw: str):
+    """What the brick row raw on line 2 gives read token by token with
+    scalar(): typed_brick of its brick, or (message, line, column) of the
+    ParseError for the first bad token or for the brick."""
+    toks = raw.split("#")[0].split()
+    try:
+        nums = [_parse_scalar(t, 2, raw, i) for i, t in enumerate(toks[2:], start=2)]
+        points = (Vec3(*nums[k:k + 3]) for k in (0, 3, 6, 9))
+        return typed_brick(Brick(toks[1], *points))
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+    except GeometryError as exc:
+        return f"line 2, column 1: {exc}", 2, 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(brick_rows(INT_TOKENS)
+       | brick_rows(INT_TOKENS | FRACTION_TOKENS)
+       | brick_rows(INT_TOKENS | FRACTION_TOKENS | BAD_TOKENS))
+@example("brick a -0 007 0 1 0 0 0 1 0 0 0 1")
+@example("brick a 1 1/2 -3 2 0 0 0 4/2 0 0 0 1")
+@example(f"brick a 0 {'9' * 4301} 0 1 0 0 0 1 0 0 0 1")
+@example("brick a 0 0 \u0663 1 0 0 0 1 0 0 0 1")
+@example("brick\ta\t0\t0\t0\t1\t0\t0\t0\t1_0\t0\t0\t0\t1")
+def test_integer_rows_parse_as_token_by_token(raw):
+    expected = per_token(raw)
+    try:
+        got = typed_brick(parse_complex(f"name t\n{raw}\n").bricks[0])
+    except ParseError as exc:
+        got = str(exc), exc.line, exc.column
+    assert got == expected

@@ -704,6 +704,11 @@ def test_shared_shape_matches_direct_formulas(u, v, w, o1, o2, twin_first):
         got = (b.det, b._frame, b.aabb, b.vertices, b.box)
         assert with_types(got) == with_types(direct_geometry(b))
     assert _shape.cache_info().currsize == 1
+    # the box offsets are normalized at the source: an int-origin brick adds
+    # its origin to them with no demotion
+    offsets = tuple((exact(lo - o), exact(hi - o))
+                    for o, (lo, hi) in zip(bricks[0].origin, bricks[0].aabb))
+    assert with_types(_shape(u, v, w)[2]) == with_types(offsets)
 
 
 def test_shape_cache_stays_bounded():
