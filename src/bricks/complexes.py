@@ -18,6 +18,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import starmap
 from typing import Iterable, Mapping, Optional
 
 from .geometry import (
@@ -162,7 +163,9 @@ def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
 def _classified(bricks: tuple[Brick, ...], pairs) -> ValidationReport:
     """The report of bricks, classifying the pairs (i, j) yields, each pair
     once; a pair not yielded must be DISJOINT. Raises PairBudgetError, before
-    classifying it, at the first pair past PAIR_BUDGET."""
+    classifying it, at the first pair past PAIR_BUDGET. Each pair is
+    classified in label order, so its contact needs no mirrored copy, and the
+    records sort as (a, b, contact) tuples: no two share (a, b)."""
     # classify_contact is looked up in this module on each call, so a wrapper
     # installed there sees every pair; inside the scope it classifies each
     # skew pair once up to translation.
@@ -173,16 +176,14 @@ def _classified(bricks: tuple[Brick, ...], pairs) -> ValidationReport:
             if count > budget:
                 raise PairBudgetError(f"{len(bricks)} bricks need more than the "
                                       f"budget of {budget} pair classifications")
-            contact = classify_contact(bricks[i], bricks[j])
-            if contact.kind is ContactKind.DISJOINT:
-                continue
-            a, b = bricks[i].id, bricks[j].id
-            if a > b:
+            a, b = bricks[i], bricks[j]
+            if a.id > b.id:
                 a, b = b, a
-                contact = contact.mirrored()
-            records.append(PairContact(a, b, contact))
-    records.sort(key=lambda pc: (pc.a, pc.b))
-    return ValidationReport(bricks, tuple(records))
+            contact = classify_contact(a, b)
+            if contact.kind is not ContactKind.DISJOINT:
+                records.append((a.id, b.id, contact))
+    records.sort()
+    return ValidationReport(bricks, tuple(starmap(PairContact, records)))
 
 
 def validate(complex: BrickComplex) -> ValidationReport:

@@ -393,10 +393,6 @@ class Contact:
     def improper(self) -> bool:
         return self.kind in IMPROPER_KINDS
 
-    def mirrored(self) -> "Contact":
-        """The same contact seen with the argument order swapped."""
-        return Contact(self.kind, self.points, self.face_b, self.face_a)
-
 
 DISJOINT = Contact(ContactKind.DISJOINT)
 

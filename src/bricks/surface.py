@@ -10,7 +10,8 @@ equal to that of the embedded version. A vertex is keyed by its exact point
 and an edge by its sorted pair of end points. A key that no improper pair
 shares is one class: the bricks that share it meet pairwise, and all those
 pairs are proper, so the rule identifies them all. One pass over the exposed
-faces numbers each vertex element it meets and keys edges by those numbers.
+faces numbers each vertex element it meets, gives each edge element an int
+id, and joins faces and wings in union-finds over int lists.
 """
 
 from __future__ import annotations
@@ -109,6 +110,19 @@ def exposed_faces(
     ]
 
 
+def _joined(parent: list, a: int, b: int) -> bool:
+    """Join a's and b's classes in a forest kept in a list, halving paths
+    (Tarjan and van Leeuwen 1984); True iff they were two classes before."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    while parent[b] != b:
+        parent[b] = b = parent[parent[b]]
+    if a == b:
+        return False
+    parent[b] = a
+    return True
+
+
 def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceStats:
     """V, E, F, chi and manifold/connectivity flags of the exposed complex.
 
@@ -122,79 +136,82 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
     brick's element is its own class, joined through the proper pairs that
     share the key and have a brick in some improper pair; two bricks in
     none are both properly joined to a brick at the key that is in one.
-    Each vertex element is numbered the first time a face meets it; an edge
-    element is the sorted pair of its ends' numbers, or its class at a key
-    an improper pair shares.
+    A vertex element is numbered when a face first meets it, and an edge
+    element gets the next int id e: its key is the sorted pair of its ends'
+    numbers, or its class at a key an improper pair shares. Its wings
+    (vertex, edge) are 2e at its lower-numbered end and 2e + 1 at the other.
 
-    The surface is vertex-manifold iff the exposed faces around each vertex
-    form one cycle. Each face corner links its two wings (vertex, edge); a
-    wing occurs once per face on its edge, so every wing occurs twice iff the
-    surface is edge-manifold. Then the F faces' 8F wing slots hold 4F wings,
-    and the surface is vertex-manifold iff 4F minus the link merges, the
-    number of classes of linked wings, is V: one class per vertex.
+    Union-finds over int lists join, face by face, the faces on each edge
+    and the two wings at each face corner. Components are F minus the face
+    merges. A wing lies on every face of its edge, so if every edge has two
+    faces (edge-manifold), the 4F wings fall into 4F minus the link merges
+    classes, and the surface is vertex-manifold iff that is V: the faces
+    around each vertex form one cycle.
     """
     report.check_matches(complex)
-    by_id = {b.id: b for b in complex.bricks}
-    keys = lambda label: {*by_id[label].vertices, *by_id[label].edge_index}
     improper = report.improper_pairs
-    split = set().union(*(keys(pc.a) & keys(pc.b) for pc in improper))
-    in_improper = {label for pc in improper for label in (pc.a, pc.b)}
-    parent: dict = {}
-    for pc in report.contacts:
-        if (pc.a in in_improper or pc.b in in_improper) and not pc.contact.improper:
-            for key in keys(pc.a) & keys(pc.b) & split:
-                _union(parent, (key, pc.a), (key, pc.b))
+    split, parent = set(), {}
+    if improper:
+        by_id = {b.id: b for b in complex.bricks}
+        shared = lambda label: {*by_id[label].vertices, *by_id[label].edge_index}
+        split = set().union(*(shared(pc.a) & shared(pc.b) for pc in improper))
+        in_improper = {label for pc in improper for label in (pc.a, pc.b)}
+        for pc in report.contacts:
+            if (pc.a in in_improper or pc.b in in_improper) and not pc.contact.improper:
+                for key in shared(pc.a) & shared(pc.b) & split:
+                    _union(parent, (key, pc.a), (key, pc.b))
 
-    exposed = exposed_faces(complex, report)
-    number: dict = {}
-    edge_faces: dict = {}
-    link: dict = {}
-    link_merges = 0
-    for face, (label, f) in enumerate(exposed):
-        vs = by_id[label].vertices
-        ps = [vs[c] for c in FACE_CYCLES[f]]
-        ns = [number.setdefault(_find(parent, (p, label)) if split and p in split
-                                else p, len(number)) for p in ps]
-        es = [(m, n) if m < n else (n, m) for m, n in zip(ns, ns[1:] + ns[:1])]
-        if split:
-            for pos, (p, q) in enumerate(zip(ps, ps[1:] + ps[:1])):
-                key = (p, q) if p < q else (q, p)
-                if key in split:
-                    es[pos] = _find(parent, (key, label))
-        for pos, e in enumerate(es):
-            edge_faces.setdefault(e, []).append(face)
-            link_merges += _union(link, (ns[pos], es[pos - 1]), (ns[pos], e))
+    covered = covered_faces(report)
+    number, edge_id = {}, {}  # per vertex key its number, per edge key its id
+    first, count = [], []  # per edge id: its first face, its number of faces
+    faces, wings = [], []  # the union-find parents of faces and of wings
+    face_merges = link_merges = 0
+    for b in complex.bricks:
+        label, vs = b.id, b.vertices
+        # per corner of b its vertex key, and its number once a face meets it
+        keys = [_find(parent, (p, label)) if p in split else p
+                for p in vs] if split else vs
+        numbered = [None] * 8
+        for f, cycle in enumerate(FACE_CYCLES):
+            if (label, f) in covered:
+                continue
+            face = len(faces)
+            faces.append(face)
+            for c in cycle:
+                if numbered[c] is None:
+                    numbered[c] = number.setdefault(keys[c], len(number))
+            starts = []  # per side, its wing at the corner it starts from
+            c = cycle[3]
+            for d in cycle:
+                m, n = numbered[c], numbered[d]
+                key = (m, n) if m < n else (n, m)
+                if split:
+                    side = (vs[c], vs[d]) if vs[c] < vs[d] else (vs[d], vs[c])
+                    if side in split:
+                        key = _find(parent, (side, label))
+                e = edge_id.get(key)
+                if e is None:
+                    e = edge_id[key] = len(first)
+                    first.append(face)
+                    count.append(1)
+                    wings += (2 * e, 2 * e + 1)
+                else:
+                    count[e] += 1
+                    face_merges += _joined(faces, first[e], face)
+                starts.append(2 * e + (m > n))
+                c = d
+            # the corner a side starts from ends the side before it
+            for before, after in zip(starts[-1:] + starts[:-1], starts):
+                link_merges += _joined(wings, before ^ 1, after)
 
-    v_count = len(number)
-    e_count = len(edge_faces)
-    f_count = len(exposed)
+    v_count, e_count, f_count = len(number), len(first), len(faces)
     chi = v_count - e_count + f_count
-
-    edge_manifold = all(len(faces) == 2 for faces in edge_faces.values())
-    # edge-manifold, every wing fills two of the 8F slots: 4F wings, in
-    # 4F - link_merges classes, and each vertex has at least one
+    edge_manifold = all(n == 2 for n in count)
     vertex_manifold = edge_manifold and 4 * f_count - link_merges == v_count
-
-    joined: dict = {}
-    components = f_count - sum(_union(joined, faces[0], other)
-                               for faces in edge_faces.values()
-                               for other in faces[1:])
-
-    genus, genus_reason = _genus_and_reason(
-        chi, components, edge_manifold and vertex_manifold
-    )
-
-    return SurfaceStats(
-        vertex_count=v_count,
-        edge_count=e_count,
-        face_count=f_count,
-        chi=chi,
-        surface_components=components,
-        edge_manifold=edge_manifold,
-        vertex_manifold=vertex_manifold,
-        genus=genus,
-        genus_reason=genus_reason,
-    )
+    components = f_count - face_merges
+    return SurfaceStats(v_count, e_count, f_count, chi, components, edge_manifold,
+                        vertex_manifold, *_genus_and_reason(
+                            chi, components, edge_manifold and vertex_manifold))
 
 
 # --- per-piece Euler characteristic tables ---------------------------------

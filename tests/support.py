@@ -14,7 +14,15 @@ from math import gcd, lcm
 
 from bricks.complexes import BrickComplex, PairContact, ValidationReport
 from bricks.constructions import zz_embedded
-from bricks.geometry import Brick, ContactKind, Vec3, classify_contact, det3, vec3
+from bricks.geometry import (
+    Brick,
+    Contact,
+    ContactKind,
+    Vec3,
+    classify_contact,
+    det3,
+    vec3,
+)
 from bricks.refinement import apply_schedule, standard_zz_schedule
 
 # --- typed records ------------------------------------------------------------
@@ -28,6 +36,11 @@ def typed(contact):
 
 def typed_report(report):
     return [(pc.a, pc.b, typed(pc.contact)) for pc in report.contacts]
+
+
+def mirrored(contact):
+    """The same contact seen with the argument order swapped."""
+    return Contact(contact.kind, contact.points, contact.face_b, contact.face_a)
 
 
 # --- complexes ----------------------------------------------------------------
@@ -84,8 +97,9 @@ def zz_level(side=4, times=0) -> BrickComplex:
 
 def classified_report(complex: BrickComplex, pairs=None) -> ValidationReport:
     """validate's report from classifying the index pairs given, all
-    n(n-1)/2 if None, each outside a pass so that no memo answers it, the
-    contacts mirrored and sorted as validate does."""
+    n(n-1)/2 if None, each outside a pass so that no memo answers it and
+    in index order, the contact mirrored where validate, which classifies in
+    label order, would have swapped the pair; sorted as validate sorts."""
     bricks = complex.bricks
     records = []
     for i, j in combinations(range(len(bricks)), 2) if pairs is None else pairs:
@@ -95,7 +109,7 @@ def classified_report(complex: BrickComplex, pairs=None) -> ValidationReport:
         a, b = bricks[i].id, bricks[j].id
         if a > b:
             a, b = b, a
-            contact = contact.mirrored()
+            contact = mirrored(contact)
         records.append(PairContact(a, b, contact))
     records.sort(key=lambda pc: (pc.a, pc.b))
     return ValidationReport(bricks, contacts=tuple(records))

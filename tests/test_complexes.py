@@ -242,6 +242,40 @@ def test_validation_permutation_invariant(seed):
     }
 
 
+# integer shears of det 1 that take the unit cubes off-axis
+SHEARS = (((1, 1, 0), (0, 1, 1), (1, 0, 0)), ((1, 0, -1), (1, 1, 0), (0, 1, 2)))
+
+
+def test_brick_order_changes_neither_report_nor_stats():
+    """validate classifies each pair in label order, whatever the order of
+    the bricks, so a shuffle or the full reversal of the brick tuple, labels
+    kept, must give the same typed report and equal surface stats. The
+    complexes have skew pairs that the memo answers (zz-embedded refined at
+    sides 4 and 3, the second on Fraction coordinates), improper pairs
+    (zz-immersed and its refinement) and co-framed skew bricks (sheared
+    polycubes)."""
+    complexes = [
+        zz_level(4, 1),
+        zz_level(3, 1),
+        zz_immersed(),
+        refined(zz_immersed()),
+        *(transformed(random_rectilinear(seed), SHEARS[seed % 2])
+          for seed in range(1, 21)),
+    ]
+    assert not validate(complexes[2]).properly_joined
+    rng = random.Random(2029)
+    for c in complexes:
+        report = validate(c)
+        expected = typed_report(report), surface_stats(c, report)
+        orders = [c.bricks[::-1]]
+        for _ in range(2):
+            orders.append(tuple(rng.sample(c.bricks, len(c))))
+        for bricks in orders:
+            moved = BrickComplex(bricks, name=c.name)
+            report = validate(moved)
+            assert (typed_report(report), surface_stats(moved, report)) == expected
+
+
 class TestSlottedRecords:
     """Contact and PairContact are frozen dataclasses with __slots__: no
     per-instance dict, yet immutable, hashable and picklable as before."""

@@ -42,7 +42,7 @@ from bricks.surface import (
     surface_stats,
     voxel_chi,
 )
-from support import affine, transformed, zz_level
+from support import affine, refined, transformed, zz_level
 
 
 def stats_of(c):
@@ -661,6 +661,19 @@ class TestReferenceIdentification:
         refined = zz_level(4, 1)
         assert len(refined) == 72 and len({b._frame[0] for b in refined}) == 11
         self.check([refined])
+
+    def test_zz_objects_refined_twice(self):
+        """zz-embedded refined twice (416 bricks, 11 frames, 704 surface
+        edges) and zz-immersed refined twice (352 bricks), whose 366
+        improper pairs share 20 vertices and 16 edges, so the split path
+        runs at many keys."""
+        embedded = zz_level(4, 2)
+        immersed = refined(refined(zz_immersed()))
+        assert len(embedded) == 416 and len({b._frame[0] for b in embedded}) == 11
+        assert len(immersed) == 352 and len(validate(immersed).improper_pairs) == 366
+        seen = self.check([embedded, immersed])
+        assert seen == {"improper": 1, "vertex": 1, "edge": 1,
+                        "not edge-manifold": 0, "pinched": 0}
 
 
 def test_stats_do_not_depend_on_brick_order_labels_or_generator_order():
