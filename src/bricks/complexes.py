@@ -1,9 +1,12 @@
 """Brick complexes, proper-joining validation, and the brick graph.
 
 A complex is a finite labeled list of bricks. Validation classifies pairs
-exactly, and skips unclassified only pairs that cannot meet: a pair whose
-closed axis-aligned bounding boxes (AABBs) are disjoint; the others come
-from one sort by x-low and a forward scan of each box. apply_schedule
+exactly, and skips unclassified only pairs that cannot meet. The bricks of
+one frame are boxes in its coordinates, their frame intervals, so one sort
+and scan per frame (Zomorodian & Edelsbrunner, SoCG 2000) yields exactly
+its pairs that meet. A pair of two frames is skipped if its closed
+axis-aligned bounding boxes (AABBs) are disjoint; the same scan over the
+AABBs, run only if there are two frames, yields the others. apply_schedule
 instead hands the refinement of a properly joined input its sibling pairs,
 by the cut, and the children of touching parents that meet their contact.
 The report is computed once per complex and kept on it; a consumer given it
@@ -94,7 +97,7 @@ class BrickComplex:
     @cached_property
     def _report(self) -> ValidationReport:
         # validate()'s memo
-        return _classified(self.bricks, self._pairs or _aabb_meeting_pairs(self.bricks))
+        return _classified(self.bricks, self._pairs or _frame_pairs(self.bricks))
 
 
 def _one_token(label: str) -> bool:
@@ -145,19 +148,41 @@ class ValidationReport:
             raise StaleReportError("validation report was built from other bricks")
 
 
-def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
-    """Yield (i, j), i < j, for every pair of bricks whose closed AABBs meet,
-    touching included. Sort and scan: the rows (xlo, xhi, ylo, yhi, zlo, zhi,
-    k) are sorted once as whole tuples, so ties break alike on every run; the
-    rows after row n that meet it in x end at bisect_right(xlos, xhi), and
-    each is tested on closed y and z intervals.
-    """
-    rows = sorted((*x, *y, *z, k) for k, b in enumerate(bricks) for x, y, z in [b.aabb])
-    xlos = [row[0] for row in rows]
-    for n, (_, xhi, ylo, yhi, zlo, zhi, i) in enumerate(rows, 1):
-        for _, _, jlo, jhi, klo, khi, j in rows[n:bisect_right(xlos, xhi, n)]:
+def _meeting_pairs(rows):
+    """Yield (i, j), i < j, for every two rows (k, box) whose closed boxes,
+    three (lo, hi) each, meet. Scan along the axis of least total length
+    over extent (cross-multiplied): the rows (its lo, hi, the others, k) are
+    sorted as whole tuples, so ties break alike on every run, and the rows
+    after row n that meet it there end at bisect_right(los, hi)."""
+    rows, axis, length, extent = list(rows), 0, 1, 0  # any spread beats 1/0
+    for a in range(3):
+        los, his = [box[a][0] for _, box in rows], [box[a][1] for _, box in rows]
+        total, spread = sum(his) - sum(los), max(his, default=0) - min(los, default=0)
+        if total * extent < length * spread:
+            axis, length, extent = a, total, spread
+    rows = sorted((*box[axis], *box[axis - 2], *box[axis - 1], k) for k, box in rows)
+    los = [row[0] for row in rows]
+    for n, (_, hi, ylo, yhi, zlo, zhi, i) in enumerate(rows, 1):
+        for _, _, jlo, jhi, klo, khi, j in rows[n:bisect_right(los, hi, n)]:
             if jlo <= yhi and ylo <= jhi and klo <= zhi and zlo <= khi:
                 yield (i, j) if i < j else (j, i)
+
+
+def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
+    return _meeting_pairs(enumerate(b.aabb for b in bricks))
+
+
+def _frame_pairs(bricks: tuple[Brick, ...]):
+    """validate's pair source: a scan of each frame's _frame boxes, then of
+    the AABBs for the pairs of two frames, if there are two."""
+    frames: dict = {}
+    for k, b in enumerate(bricks):
+        frames.setdefault(b._frame[0], []).append((k, [s[1:3] for s in b._frame[1]]))
+    for rows in frames.values():
+        yield from _meeting_pairs(rows)
+    if len(frames) > 1:
+        yield from ((i, j) for i, j in _aabb_meeting_pairs(bricks)
+                    if bricks[i]._frame[0] != bricks[j]._frame[0])
 
 
 def _classified(bricks: tuple[Brick, ...], pairs) -> ValidationReport:
@@ -189,9 +214,10 @@ def _classified(bricks: tuple[Brick, ...], pairs) -> ValidationReport:
 def validate(complex: BrickComplex) -> ValidationReport:
     """The complex's validation report, computed once and kept on it.
 
-    Pairs whose closed AABBs are disjoint are skipped unclassified: a ∩ b
-    lies inside the intersection of the two AABBs, so each such pair is
-    DISJOINT, and the report equals a classification of all n(n-1)/2 pairs.
+    A pair of one frame whose frame intervals are apart, or of two frames
+    whose closed AABBs are disjoint (a ∩ b lies inside both), is DISJOINT
+    and skipped unclassified, so the report equals a classification of all
+    n(n-1)/2 pairs; a single-frame complex classifies only its contacts.
     Each pass keeps its own memo of skew contacts by translation, so a skew
     pair that repeats an earlier one up to translation is not clipped again;
     the memo is per pass and per thread or context, and is dropped when the

@@ -395,6 +395,11 @@ class Contact:
 
 
 DISJOINT = Contact(ContactKind.DISJOINT)
+# shared: improper contacts by the dimension of a ∩ b, whole faces by 6fa + fb
+_IMPROPER = (None, Contact(ContactKind.PARTIAL_EDGE), Contact(ContactKind.PARTIAL_FACE),
+             Contact(ContactKind.VOLUME_OVERLAP))
+_WHOLE_FACES = tuple(Contact(ContactKind.WHOLE_FACE, (), *divmod(f, 6))
+                     for f in range(36))
 
 
 def _slab_coordinates(x: Brick, y: Brick):
@@ -506,35 +511,29 @@ def _classify_from_vertices(a: Brick, b: Brick, dim: int, verts) -> Contact:
 
 
 def _coframed_contact(a: Brick, b: Brick) -> Contact:
-    """Classify a ∩ b for bricks of one frame from their frame intervals: an
-    empty overlap is DISJOINT, and each slot that only touches fixes a's
-    generator in that slot to one end, which gives face indices and the
-    vertex codes of the contact points."""
-    open_j, whole, code, fa, fb = [], True, 0, None, None
+    """Classify a ∩ b for bricks of one frame from their frame intervals: the
+    first empty overlap is DISJOINT, and each slot that only touches fixes
+    a's generator in that slot to one end, which gives face indices and the
+    vertex codes of the contact points. A contact without points is shared."""
+    dim, code, whole = 0, 0, True  # dim: the slots whose overlap is open
     for (_, alo, ahi, ja, fla), (_, blo, bhi, jb, flb) in zip(a._frame[1], b._frame[1]):
         lo, hi = alo if alo > blo else blo, ahi if ahi < bhi else bhi
-        if lo > hi:
-            return DISJOINT
         if lo < hi:
-            open_j.append(ja)
+            dim, free = dim + 1, ja
             whole = whole and alo == blo and ahi == bhi
-        else:  # side 1 is the end that generator j reaches
-            sa, sb = (lo == ahi) != fla, (lo == bhi) != flb
-            code |= sa << (2 - ja)
-            fa, fb = 2 * ja + sa, 2 * jb + sb
-    dim = len(open_j)
-    if dim == 3:
-        return Contact(ContactKind.VOLUME_OVERLAP)
+        elif lo == hi:  # side 1 is the end that generator j reaches
+            side = (lo == ahi) != fla
+            code |= side << (2 - ja)
+            face = 6 * (2 * ja + side) + 2 * jb + ((lo == bhi) != flb)
+        else:
+            return DISJOINT
+    if dim == 3 or not whole:
+        return _IMPROPER[dim]
     if dim == 2:
-        if whole:
-            return Contact(ContactKind.WHOLE_FACE, (), fa, fb)
-        return Contact(ContactKind.PARTIAL_FACE)
+        return _WHOLE_FACES[face]
     if dim == 1:
-        if whole:
-            vs = a.vertices
-            p, q = vs[code], vs[code | 4 >> open_j[0]]
-            return Contact(ContactKind.WHOLE_EDGE, (p, q) if p < q else (q, p))
-        return Contact(ContactKind.PARTIAL_EDGE)
+        p, q = a.vertices[code], a.vertices[code | 4 >> free]
+        return Contact(ContactKind.WHOLE_EDGE, (p, q) if p < q else (q, p))
     return Contact(ContactKind.POINT, (a.vertices[code],))
 
 

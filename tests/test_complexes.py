@@ -21,6 +21,7 @@ from bricks.complexes import (
     StaleReportError,
     ValidationReport,
     _aabb_meeting_pairs,
+    _frame_pairs,
     brick_complex,
     brick_graph,
     component_count,
@@ -53,6 +54,7 @@ from bricks.refinement import (
 )
 from bricks.surface import exposed_faces, surface_stats
 from support import (
+    affine,
     classified_report,
     refined,
     standard_chain,
@@ -447,6 +449,79 @@ def test_aabb_scan_matches_brute_force(bricks):
     pairs = list(_aabb_meeting_pairs(bricks))
     assert all(i < j for i, j in pairs) and len(set(pairs)) == len(pairs)
     assert set(pairs) == brute_force_aabb_pairs(bricks)
+
+
+# integer shears of det 1: the first moves the y and z axes off-axis, the
+# second the x and y axes
+SHEARS = (((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((1, 0, 0), (1, 1, 0), (0, 1, 1)))
+
+
+def sheared(bricks, maps):
+    """Brick k of bricks under the linear map maps[k % len(maps)], None
+    standing for the identity."""
+    out = []
+    for k, b in enumerate(bricks):
+        m = maps[k % len(maps)]
+        if m is not None:
+            apply = affine(m)
+            b = Brick(b.id, apply(b.origin), *map(apply, b.generators))
+        out.append(b)
+    return tuple(out)
+
+
+@st.composite
+def framed_boxes(draw):
+    """boxes() under one integer shear, all of one frame, or each box kept
+    or sheared by one of two shears at random, two or three frames."""
+    bricks = draw(boxes())
+    if draw(st.booleans()):
+        return sheared(bricks, [draw(st.sampled_from(SHEARS))])
+    return sheared(bricks, [draw(st.sampled_from((None, *SHEARS))) for _ in bricks])
+
+
+@settings(max_examples=300, deadline=None)
+@given(framed_boxes())
+# the tie examples of test_aabb_scan_matches_brute_force, sheared as one
+# frame, and a unit cube beside a sheared copy of it or of its neighbours
+@example(sheared(scan_case(UNIT, ((1, 0, 0), (2, 1, 1))), SHEARS[:1]))
+@example(sheared(scan_case(UNIT, ((0, 1, 0), (1, 2, 1))), SHEARS[:1]))
+@example(sheared(scan_case(UNIT, ((0, 0, 1), (1, 1, 2))), SHEARS[1:]))
+@example(sheared(scan_case(((0, 1, 0), (1, 2, 1)), ((1, 0, 0), (2, 1, 1))), SHEARS[:1]))
+@example(sheared(scan_case(((0, 0, 1), (1, 1, 2)), ((1, 0, 0), (2, 1, 1))), SHEARS[1:]))
+@example(sheared(scan_case(UNIT, ((0, 2, 0), (1, 3, 1))), SHEARS[:1]))
+@example(sheared(scan_case(UNIT, ((0, 0, 2), (1, 1, 3))), SHEARS[1:]))
+@example(sheared(scan_case(((0, 0, 0), (THIRD, 1, 1)), ((THIRD, 1, 1), (1, 2, 2))),
+                 SHEARS[:1]))
+@example(sheared(scan_case(UNIT, UNIT, UNIT), SHEARS[:1]))
+@example(sheared(scan_case(UNIT, UNIT), (None, SHEARS[0])))
+@example(sheared(scan_case(UNIT, ((1, 0, 0), (2, 1, 1)), ((0, 1, 0), (1, 2, 1))),
+                 (None, *SHEARS)))
+def test_frame_pairs_match_brute_force(bricks):
+    pairs = list(_frame_pairs(bricks))
+    assert all(i < j for i, j in pairs) and len(set(pairs)) == len(pairs)
+    for i, j in combinations(range(len(bricks)), 2):
+        a, b = bricks[i], bricks[j]
+        meet = classify_contact(a, b).kind is not ContactKind.DISJOINT
+        if meet or a._frame[0] == b._frame[0]:
+            assert ((i, j) in pairs) == meet
+
+
+def test_spaced_skew_slabs_classify_no_pair(monkeypatch):
+    """Ten slabs of one skew brick, two apart in its frame: every pair has
+    meeting AABBs, and none is classified."""
+    bricks = tuple(Brick(f"s{k}", vec3(2 * k, 0, 0), vec3(1, 0, 0), vec3(20, 1, 0),
+                         vec3(0, 0, 1)) for k in range(10))
+    assert len(set(_aabb_meeting_pairs(bricks))) == 45
+    assert list(_frame_pairs(bricks)) == []
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return classify_contact(a, b)
+
+    monkeypatch.setattr("bricks.complexes.classify_contact", counting)
+    assert validate(brick_complex(bricks)).contacts == ()
+    assert calls == []
 
 
 def test_broad_phase_classifies_only_contacts_on_a_unit_cube_block(monkeypatch):

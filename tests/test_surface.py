@@ -662,6 +662,24 @@ class TestReferenceIdentification:
         assert len(refined) == 72 and len({b._frame[0] for b in refined}) == 11
         self.check([refined])
 
+    def test_an_edge_class_apart_from_its_end_classes(self):
+        """P and Q overlap in volume and share the whole edge from (0,0,0)
+        to (0,0,1); R meets both at (0,0,0) only and S at (0,0,1) only. The
+        split path joins the ends' classes through R and S, but the shared
+        edge stays two edges: an edge class is not the pair of its ends'
+        vertex classes."""
+        c = brick_complex([
+            brick_from_box((0, 0, 0), (2, 2, 1), "P"),
+            brick_from_box((0, 0, 0), (1, 1, 1), "Q"),
+            brick_from_box((-1, -1, -1), (0, 0, 0), "R"),
+            brick_from_box((-1, -1, 1), (0, 0, 2), "S"),
+        ])
+        s = surface_stats(c, validate(c))
+        assert (s.vertex_count, s.edge_count, s.face_count, s.chi) == (28, 48, 24, 4)
+        assert s.surface_components == 4
+        assert s.edge_manifold and not s.vertex_manifold
+        self.check([c])
+
     def test_zz_objects_refined_twice(self):
         """zz-embedded refined twice (416 bricks, 11 frames, 704 surface
         edges) and zz-immersed refined twice (352 bricks), whose 366
