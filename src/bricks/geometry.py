@@ -200,10 +200,6 @@ FACE_CYCLES = tuple(
 )
 
 
-def opposite_face(face_index: int) -> int:
-    return face_index ^ 1
-
-
 # --- the brick ------------------------------------------------------------
 
 
@@ -370,9 +366,10 @@ class ContactKind(Enum):
     PARTIAL_EDGE = "partial-edge"
 
 
-IMPROPER_KINDS = frozenset(
-    {ContactKind.VOLUME_OVERLAP, ContactKind.PARTIAL_FACE, ContactKind.PARTIAL_EDGE}
-)
+# a tuple, so Contact.improper compares by identity and never calls Enum.__hash__
+_IMPROPER_KINDS = (ContactKind.VOLUME_OVERLAP, ContactKind.PARTIAL_FACE,
+                   ContactKind.PARTIAL_EDGE)
+IMPROPER_KINDS = frozenset(_IMPROPER_KINDS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -391,7 +388,7 @@ class Contact:
 
     @property
     def improper(self) -> bool:
-        return self.kind in IMPROPER_KINDS
+        return self.kind in _IMPROPER_KINDS
 
 
 DISJOINT = Contact(ContactKind.DISJOINT)

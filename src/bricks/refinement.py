@@ -15,8 +15,8 @@ from itertools import combinations, product
 from typing import Mapping, Union
 
 from .complexes import BrickComplex, ValidationReport, validate
-from .geometry import Brick, ContactKind, Scalar, _quoted, format_scalar, opposite_face
-from .surface import covered_faces
+from .geometry import Brick, ContactKind, Scalar, _quoted, format_scalar
+from .surface import _face_masks
 
 
 class RefinementError(ValueError):
@@ -248,14 +248,10 @@ def two_opposite_covered(
     """Per brick: does some opposite face pair appear covered (whole-face
     contacts on both k- and k+)?"""
     report.check_matches(complex)
-    covered = covered_faces(report)
-    return {
-        label: any(
-            (label, f) in covered and (label, opposite_face(f)) in covered
-            for f in range(0, 6, 2)
-        )
-        for label in complex.labels
-    }
+    masks = _face_masks(report)
+    # faces 2k and 2k + 1 are opposite: bits 0, 2 and 4 of mask & mask >> 1
+    return {label: bool((m := masks.get(label, 0)) & m >> 1 & 0b10101)
+            for label in complex.labels}
 
 
 def is_cube_shaped(b: Brick) -> bool:

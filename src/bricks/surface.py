@@ -9,9 +9,11 @@ counted abstractly, which is exactly what makes its Euler characteristic
 equal to that of the embedded version. A vertex is keyed by its exact point
 and an edge by its sorted pair of end points. A key that no improper pair
 shares is one class: the bricks that share it meet pairwise, and all those
-pairs are proper, so the rule identifies them all. One pass over the exposed
-faces numbers each vertex element it meets, gives each edge element an int
-id, and joins faces and wings in union-finds over int lists.
+pairs are proper, so the rule identifies them all. Each brick's 6-bit mask
+of covered faces indexes tables of its exposed faces, their corners and
+sides; one pass over the bricks, skipping fully covered ones, numbers vertex
+elements, gives each edge element an int id, and joins faces and wings in
+union-finds over int lists.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from math import prod
 from typing import Optional
 
 from .complexes import BrickComplex, ValidationReport, _find, _union
-from .geometry import FACE_CYCLES, GeometryError, _quoted, format_scalar
+from .geometry import FACE_CYCLES, ContactKind, GeometryError, _quoted, format_scalar
 
 
 class TopologyError(ValueError):
@@ -85,12 +87,26 @@ def _genus_and_reason(
         return None, str(exc)
 
 
-def covered_faces(report: ValidationReport) -> set[tuple[str, int]]:
-    out = set()
-    for pc in report.whole_face_contacts():
-        out.add((pc.a, pc.contact.face_a))
-        out.add((pc.b, pc.contact.face_b))
-    return out
+# per face, its sides (corner, next corner) in cycle order, the first side
+# ending at the cycle's first corner
+_SIDES = tuple(tuple(zip(cycle[-1:] + cycle[:-1], cycle)) for cycle in FACE_CYCLES)
+# per 6-bit mask of covered faces: the exposed faces, and the corners they
+# meet in the order the faces first meet them
+_EXPOSED = tuple(
+    (faces, tuple(dict.fromkeys(c for f in faces for c in FACE_CYCLES[f])))
+    for faces in (tuple(f for f in range(6) if not m >> f & 1) for m in range(64)))
+
+
+def _face_masks(report: ValidationReport) -> dict[str, int]:
+    """Per label of a brick with a covered face, the mask whose bit f is set
+    when a whole-face contact covers face f."""
+    masks, whole_face = {}, ContactKind.WHOLE_FACE
+    for pc in report.contacts:
+        contact = pc.contact
+        if contact.kind is whole_face:
+            masks[pc.a] = masks.get(pc.a, 0) | 1 << contact.face_a
+            masks[pc.b] = masks.get(pc.b, 0) | 1 << contact.face_b
+    return masks
 
 
 def exposed_faces(
@@ -101,13 +117,8 @@ def exposed_faces(
     Proper joining guarantees a face is covered entirely or not at all.
     """
     report.check_matches(complex)
-    covered = covered_faces(report)
-    return [
-        (b.id, f)
-        for b in complex.bricks
-        for f in range(6)
-        if (b.id, f) not in covered
-    ]
+    masks = _face_masks(report)
+    return [(b.id, f) for b in complex.bricks for f in _EXPOSED[masks.get(b.id, 0)][0]]
 
 
 def _joined(parent: list, a: int, b: int) -> bool:
@@ -136,7 +147,11 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
     brick's element is its own class, joined through the proper pairs that
     share the key and have a brick in some improper pair; two bricks in
     none are both properly joined to a brick at the key that is in one.
-    A vertex element is numbered when a face first meets it, and an edge
+    Each brick's mask of covered faces (bit f for face f, set by a
+    whole-face contact) indexes _EXPOSED, its exposed faces and the corners
+    they meet; a brick with all six covered (mask 63) is skipped unread.
+    Those corners' vertex elements are numbered in the order the faces first
+    meet them, and each exposed face's sides come from _SIDES. An edge
     element gets the next int id e: its key is the sorted pair of its ends'
     numbers, or its class at a key an improper pair shares. Its wings
     (vertex, edge) are 2e at its lower-numbered end and 2e + 1 at the other.
@@ -161,28 +176,28 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
                 for key in shared(pc.a) & shared(pc.b) & split:
                     _union(parent, (key, pc.a), (key, pc.b))
 
-    covered = covered_faces(report)
+    masks = _face_masks(report)
     number, edge_id = {}, {}  # per vertex key its number, per edge key its id
     first, count = [], []  # per edge id: its first face, its number of faces
     faces, wings = [], []  # the union-find parents of faces and of wings
     face_merges = link_merges = 0
+    numbered = [0] * 8  # per corner of a brick, the number of its vertex
     for b in complex.bricks:
-        label, vs = b.id, b.vertices
-        # per corner of b its vertex key, and its number once a face meets it
-        keys = [_find(parent, (p, label)) if p in split else p
-                for p in vs] if split else vs
-        numbered = [None] * 8
-        for f, cycle in enumerate(FACE_CYCLES):
-            if (label, f) in covered:
-                continue
+        label = b.id
+        exposed, corners = _EXPOSED[masks.get(label, 0)]
+        if not exposed:
+            continue
+        vs = b.vertices
+        for c in corners:
+            p = vs[c]
+            if split and p in split:
+                p = _find(parent, (p, label))
+            numbered[c] = number.setdefault(p, len(number))
+        for f in exposed:
             face = len(faces)
             faces.append(face)
-            for c in cycle:
-                if numbered[c] is None:
-                    numbered[c] = number.setdefault(keys[c], len(number))
             starts = []  # per side, its wing at the corner it starts from
-            c = cycle[3]
-            for d in cycle:
+            for c, d in _SIDES[f]:
                 m, n = numbered[c], numbered[d]
                 key = (m, n) if m < n else (n, m)
                 if split:
@@ -199,10 +214,10 @@ def surface_stats(complex: BrickComplex, report: ValidationReport) -> SurfaceSta
                     count[e] += 1
                     face_merges += _joined(faces, first[e], face)
                 starts.append(2 * e + (m > n))
-                c = d
             # the corner a side starts from ends the side before it
-            for before, after in zip(starts[-1:] + starts[:-1], starts):
-                link_merges += _joined(wings, before ^ 1, after)
+            s0, s1, s2, s3 = starts
+            link_merges += (_joined(wings, s3 ^ 1, s0) + _joined(wings, s0 ^ 1, s1)
+                            + _joined(wings, s1 ^ 1, s2) + _joined(wings, s2 ^ 1, s3))
 
     v_count, e_count, f_count = len(number), len(first), len(faces)
     chi = v_count - e_count + f_count

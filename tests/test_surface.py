@@ -25,12 +25,20 @@ from bricks.geometry import (
     EDGE_CODES,
     FACE_CYCLES,
     Brick,
+    ContactKind,
     Vec3,
     brick_from_box,
     det3,
 )
-from bricks.refinement import Octasect, apply_schedule, standard_zz_schedule
+from bricks.refinement import (
+    Octasect,
+    apply_schedule,
+    standard_zz_schedule,
+    two_opposite_covered,
+)
 from bricks.surface import (
+    _EXPOSED,
+    _SIDES,
     PieceRow,
     PieceTable,
     SurfaceStats,
@@ -39,6 +47,7 @@ from bricks.surface import (
     exposed_faces,
     genus_from_chi,
     piece_table_chi,
+    _face_masks,
     surface_stats,
     voxel_chi,
 )
@@ -47,6 +56,14 @@ from support import affine, refined, transformed, zz_level
 
 def stats_of(c):
     return surface_stats(c, validate(c))
+
+
+def covered_by_records(r):
+    """The (label, face) pairs that r's whole-face records cover, read from
+    the records themselves rather than from the library's face masks."""
+    whole = [pc for pc in r.contacts if pc.contact.kind is ContactKind.WHOLE_FACE]
+    return ({(pc.a, pc.contact.face_a) for pc in whole}
+            | {(pc.b, pc.contact.face_b) for pc in whole})
 
 
 @functools.cache
@@ -79,6 +96,54 @@ class TestExposedFaces:
             assert per_brick[cube] == 3
         for conn in ("X1", "X2", "X3", "Z1", "Z2", "Z3"):
             assert per_brick[conn] == 4
+
+
+class TestFaceMasks:
+    def test_tables_follow_face_cycles(self):
+        """_EXPOSED[mask] lists the faces whose bit is clear and the corners
+        they meet, each where a face first meets it; _SIDES[f] walks face
+        f's cycle from the side that ends at its first corner."""
+        for mask in range(64):
+            faces = [f for f in range(6) if not mask & 1 << f]
+            corners = []
+            for f in faces:
+                corners += [c for c in FACE_CYCLES[f] if c not in corners]
+            assert _EXPOSED[mask] == (tuple(faces), tuple(corners)), mask
+        for f, cycle in enumerate(FACE_CYCLES):
+            assert _SIDES[f] == tuple((cycle[i - 1], cycle[i]) for i in range(4))
+
+    @pytest.mark.parametrize("build, proper", [
+        (lambda: fixture("block-3x3x3"), True),
+        (lambda: zz_level(4, 1), True),
+        (zz_immersed, False),
+    ], ids=["block-3x3x3", "zz-embedded-refined-once", "zz-immersed"])
+    def test_masks_match_the_set_definition(self, build, proper):
+        c = build()
+        r = validate(c)
+        assert r.properly_joined == proper
+        covered = covered_by_records(r)
+        assert exposed_faces(c, r) == [
+            (b.id, f) for b in c for f in range(6) if (b.id, f) not in covered]
+        assert two_opposite_covered(c, r) == {
+            b.id: any((b.id, f) in covered and (b.id, f + 1) in covered
+                      for f in (0, 2, 4))
+            for b in c}
+
+    @pytest.mark.parametrize("shear", [None, "triangular"])
+    def test_a_fully_covered_brick_adds_nothing(self, shear):
+        """The centre of the 3x3x3 block has all six faces covered (mask 63),
+        and the block, rectilinear or sheared, bounds a sphere of 54 faces."""
+        c = fixture("block-3x3x3")
+        if shear:
+            c = transformed(c, TestOracleEquivalence.SHEARS[shear])
+            assert all(b.box is None for b in c)
+        r = validate(c)
+        (centre,) = [label for label, m in _face_masks(r).items() if m == 63]
+        assert centre == "b13"
+        s = surface_stats(c, r)
+        assert (s.vertex_count, s.edge_count, s.face_count, s.chi) == (56, 108, 54, 2)
+        assert s.surface_components == 1 and s.edge_manifold and s.vertex_manifold
+        assert s == reference_surface_stats(c, r)
 
 
 class TestSurfaceStats:
@@ -535,7 +600,8 @@ class TestManifoldOracle:
 def reference_surface_stats(c, r):
     """surface_stats by the identification rule itself: a union-find over
     (label, code) that joins, for each proper pair, every vertex and every
-    edge the two bricks share, each found by its points."""
+    edge the two bricks share, each found by its points. The exposed faces
+    are those no whole-face record covers."""
     parent = {}
 
     def find(k):
@@ -561,7 +627,8 @@ def reference_surface_stats(c, r):
                 union((kind, pc.a, ia[key]), (kind, pc.b, ib[key]))
 
     edge_code = {frozenset(e): i for i, e in enumerate(EDGE_CODES)}
-    exposed = exposed_faces(c, r)
+    covered = covered_by_records(r)
+    exposed = [(b.id, f) for b in c for f in range(6) if (b.id, f) not in covered]
     vertices, wings, edge_faces = set(), set(), {}
     for face in exposed:
         label, f = face
@@ -744,8 +811,6 @@ def test_chi_parity_on_manifold_surfaces(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_edge_manifold_without_edge_or_point_contacts(seed):
-    from bricks.geometry import ContactKind
-
     c = random_rectilinear(seed)
     r = validate(c)
     touchy = {ContactKind.WHOLE_EDGE, ContactKind.POINT}
