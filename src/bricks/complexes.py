@@ -2,9 +2,9 @@
 
 A complex is a finite labeled list of bricks. Validation classifies pairs
 exactly, and skips unclassified only pairs that cannot meet. The bricks of
-one frame are boxes in its coordinates, their frame intervals, so one sort
-and scan per frame (Zomorodian & Edelsbrunner, SoCG 2000) yields exactly
-its pairs that meet. A pair of two frames is skipped if its closed
+one frame are boxes in its coordinates, their six-value frame rows, so one
+sort and scan per frame (Zomorodian & Edelsbrunner, SoCG 2000) yields
+exactly its pairs that meet. A pair of two frames is skipped if its closed
 axis-aligned bounding boxes (AABBs) are disjoint; the same scan over the
 AABBs, run only if there are two frames, yields the others. apply_schedule
 instead hands the refinement of a properly joined input its sibling pairs,
@@ -21,7 +21,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import starmap
+from itertools import chain, islice, starmap
 from typing import Iterable, Mapping, Optional
 
 from .geometry import (
@@ -30,6 +30,7 @@ from .geometry import (
     ContactKind,
     _quoted,
     _skew_memo_scope,
+    _slotted,
     classify_contact,
 )
 
@@ -149,66 +150,68 @@ class ValidationReport:
 
 
 def _meeting_pairs(rows):
-    """Yield (i, j), i < j, for every two rows (k, box) whose closed boxes,
-    three (lo, hi) each, meet. Scan along the axis of least total length
-    over extent (cross-multiplied): the rows (its lo, hi, the others, k) are
-    sorted as whole tuples, so ties break alike on every run, and the rows
-    after row n that meet it there end at bisect_right(los, hi)."""
+    """Iterate over (i, j), i < j, for every two rows (k, box), box (lo0,
+    hi0, lo1, hi1, lo2, hi2), whose closed boxes meet, one row's list of them
+    at a time. Scan along the axis of least total length over extent (cross-
+    multiplied): the rows (box from that axis on, k) sort as whole tuples, so
+    ties break alike on every run, and the rows after row n that meet it
+    there end at bisect_right(los, hi)."""
     rows, axis, length, extent = list(rows), 0, 1, 0  # any spread beats 1/0
-    for a in range(3):
-        los, his = [box[a][0] for _, box in rows], [box[a][1] for _, box in rows]
+    for a in range(0, 6, 2):
+        los, his = [box[a] for _, box in rows], [box[a + 1] for _, box in rows]
         total, spread = sum(his) - sum(los), max(his, default=0) - min(los, default=0)
         if total * extent < length * spread:
             axis, length, extent = a, total, spread
-    rows = sorted((*box[axis], *box[axis - 2], *box[axis - 1], k) for k, box in rows)
+    rows = sorted((*box[axis:], *box[:axis], k) for k, box in rows)
     los = [row[0] for row in rows]
-    for n, (_, hi, ylo, yhi, zlo, zhi, i) in enumerate(rows, 1):
-        for _, _, jlo, jhi, klo, khi, j in rows[n:bisect_right(los, hi, n)]:
-            if jlo <= yhi and ylo <= jhi and klo <= zhi and zlo <= khi:
-                yield (i, j) if i < j else (j, i)
+    return chain.from_iterable(
+        [(i, j) if i < j else (j, i)
+         for _, _, jlo, jhi, klo, khi, j in rows[n:bisect_right(los, hi, n)]
+         if jlo <= yhi and ylo <= jhi and klo <= zhi and zlo <= khi]
+        for n, (_, hi, ylo, yhi, zlo, zhi, i) in enumerate(rows, 1))
 
 
 def _aabb_meeting_pairs(bricks: tuple[Brick, ...]):
-    return _meeting_pairs(enumerate(b.aabb for b in bricks))
+    return _meeting_pairs((k, sum(b.aabb, ())) for k, b in enumerate(bricks))
 
 
 def _frame_pairs(bricks: tuple[Brick, ...]):
-    """validate's pair source: a scan of each frame's _frame boxes, then of
+    """validate's pair source: a scan of each frame's _frame rows, then of
     the AABBs for the pairs of two frames, if there are two."""
     frames: dict = {}
     for k, b in enumerate(bricks):
-        frames.setdefault(b._frame[0], []).append((k, [s[1:3] for s in b._frame[1]]))
-    for rows in frames.values():
-        yield from _meeting_pairs(rows)
+        frames.setdefault(b._frame[0], []).append((k, b._frame[1]))
+    sources = [_meeting_pairs(rows) for rows in frames.values()]
     if len(frames) > 1:
-        yield from ((i, j) for i, j in _aabb_meeting_pairs(bricks)
-                    if bricks[i]._frame[0] != bricks[j]._frame[0])
+        sources.append((i, j) for i, j in _aabb_meeting_pairs(bricks)
+                       if bricks[i]._frame[0] != bricks[j]._frame[0])
+    return chain.from_iterable(sources)
 
 
 def _classified(bricks: tuple[Brick, ...], pairs) -> ValidationReport:
-    """The report of bricks, classifying the pairs (i, j) yields, each pair
-    once; a pair not yielded must be DISJOINT. Raises PairBudgetError, before
-    classifying it, at the first pair past PAIR_BUDGET. Each pair is
+    """The report of bricks, classifying each pair (i, j) pairs yields once;
+    a pair not yielded must be DISJOINT. Classifies the first PAIR_BUDGET
+    pairs, then raises PairBudgetError if pairs yields one more. Each pair is
     classified in label order, so its contact needs no mirrored copy, and the
     records sort as (a, b, contact) tuples: no two share (a, b)."""
     # classify_contact is looked up in this module on each call, so a wrapper
     # installed there sees every pair; inside the scope it classifies each
     # skew pair once up to translation.
     budget = PAIR_BUDGET[0] * len(bricks) + PAIR_BUDGET[1]
-    records = []
+    pairs, records, disjoint = iter(pairs), [], ContactKind.DISJOINT
     with _skew_memo_scope():
-        for count, (i, j) in enumerate(pairs, 1):
-            if count > budget:
-                raise PairBudgetError(f"{len(bricks)} bricks need more than the "
-                                      f"budget of {budget} pair classifications")
+        for i, j in islice(pairs, budget):
             a, b = bricks[i], bricks[j]
             if a.id > b.id:
                 a, b = b, a
             contact = classify_contact(a, b)
-            if contact.kind is not ContactKind.DISJOINT:
+            if contact.kind is not disjoint:
                 records.append((a.id, b.id, contact))
+        if next(pairs, None) is not None:
+            raise PairBudgetError(f"{len(bricks)} bricks need more than the "
+                                  f"budget of {budget} pair classifications")
     records.sort()
-    return ValidationReport(bricks, tuple(starmap(PairContact, records)))
+    return ValidationReport(bricks, tuple(starmap(_slotted(PairContact), records)))
 
 
 def validate(complex: BrickComplex) -> ValidationReport:

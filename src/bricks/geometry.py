@@ -10,7 +10,9 @@ Two bricks whose generators share three directions are co-framed (two
 axis-aligned boxes are the special case). Along the normal of each pair of
 frame directions each brick is an interval, so a co-framed pair is decided
 from three interval overlaps, the oriented-box reduction of Gottschalk, Lin
-& Manocha (OBBTree, 1996); contact points are picked from the vertices.
+& Manocha (OBBTree, 1996), here unrolled on two rows of six interval ends;
+contact points are picked from the vertices into a Contact built without
+its frozen __init__.
 Each brick's slabs come from its frame: one per pair of frame directions,
 with that pair's cross product as normal. A pair of another kind is
 disjoint if one brick lies beyond a slab of the other (its extent along the
@@ -45,7 +47,7 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -285,30 +287,27 @@ class Brick:
 
     @cached_property
     def _frame(self):
-        """(key, slots): per slab of the brick's own frame (_shape), the slot
-        (n, lo, hi, j, flip) with lo, hi moved to this brick's origin, so the
-        brick is the points p with lo <= n.p <= hi in all three; generator j
-        is the one not orthogonal to n, flip whether n.g_j < 0."""
-        key, slabs = _shape(self.u, self.v, self.w)[:2]
-        out, ints = [], _ints(self.origin)
-        for n, lo, hi, _, rates in slabs:
-            base, j = n.dot(self.origin), 0 if rates[0] else 1 if rates[1] else 2
-            lo, hi = base + lo, base + hi
-            if not ints:
-                lo, hi = _norm(lo), _norm(hi)
-            out.append((n, lo, hi, j, rates[j] < 0))
-        return key, tuple(out)
+        """(key, row, turns): row (lo0, hi0, lo1, hi1, lo2, hi2) holds slab k
+        of the brick's own frame (_shape) moved to its origin, the brick being
+        the points p with lok <= n.p <= hik for the normal n of that _extents
+        entry; turns is _shape's shared (j0, flip0, j1, flip1, j2, flip2)."""
+        key, slabs, _, _, _, turns = _shape(self.u, self.v, self.w)
+        o = self.origin
+        row = [base + end for n, *ends, _, _ in slabs
+               for base in [n.dot(o)] for end in ends]
+        return key, tuple(row if _ints(o) else map(_norm, row)), turns
 
 
 @lru_cache(maxsize=1024)
 def _shape(u: Vec3, v: Vec3, w: Vec3):
     """What a brick owes to its generators alone, computed once per triple:
-    (key, slabs, box, offsets, det). The key is the frame D: the generator
-    directions as primitive integer vectors, first non-zero entry positive,
-    sorted. slabs is _extents(u, v, w, key), the brick's slabs in its own
-    frame. box holds per axis the sums of the generators' negative and
-    positive components, offsets the 8 vertices less the origin in
-    vertex-code order. Equal triples share an entry (2 == Fraction(2, 1)),
+    (key, slabs, box, offsets, det, turns). The key is the frame D: the
+    generator directions as primitive integer vectors, first non-zero entry
+    positive, sorted. slabs is _extents(u, v, w, key), the brick's slabs in
+    its own frame, turns per slab (j, n.g_j < 0) for the generator j not
+    orthogonal to its normal n, box per axis the sums of the generators'
+    negative and positive components, offsets the 8 vertices less the origin
+    in vertex-code order. Equal triples share an entry (2 == Fraction(2, 1)),
     so what a brick reads from it is normalized, an integral value an int:
     then it does not depend on which triple filled the entry."""
     dirs = []
@@ -321,7 +320,9 @@ def _shape(u: Vec3, v: Vec3, w: Vec3):
     box = tuple((_norm(sum(c for c in cs if c < 0)),
                  _norm(sum(c for c in cs if c > 0))) for cs in zip(u, v, w))
     offsets = tuple(u.scale(a) + v.scale(b) + w.scale(c) for a, b, c in VERTEX_COEFFS)
-    return key, _extents(u, v, w, key), box, offsets, _norm(det3(u, v, w))
+    slabs = _extents(u, v, w, key)  # per slab one rate is not 0: its index and sign
+    turns = sum(((list(map(bool, r)).index(True), sum(r) < 0) for *_, r in slabs), ())
+    return key, slabs, box, offsets, _norm(det3(u, v, w)), turns
 
 
 @lru_cache(maxsize=1024)
@@ -391,6 +392,25 @@ class Contact:
         return self.kind in _IMPROPER_KINDS
 
 
+def _slotted(cls):
+    """cls(x, y, z) for a frozen slotted dataclass cls, without its generated
+    __init__: slots are set through their member descriptors, any past z to None."""
+    new, given = object.__new__, fields(cls)
+    if any(f.default is not None for f in given[3:]):
+        raise TypeError(f"{cls.__name__}: a field past the third has a default other than None")
+    set_x, set_y, set_z, *rest = [getattr(cls, f.name).__set__ for f in given]
+    def make(x, y, z=None):
+        record = new(cls)
+        set_x(record, x)
+        set_y(record, y)
+        set_z(record, z)
+        for set_none in rest:
+            set_none(record, None)
+        return record
+    return make
+
+
+_new_contact = _slotted(Contact)  # a POINT or WHOLE_EDGE contact: kind, points
 DISJOINT = Contact(ContactKind.DISJOINT)
 # shared: improper contacts by the dimension of a ∩ b, whole faces by 6fa + fb
 _IMPROPER = (None, Contact(ContactKind.PARTIAL_EDGE), Contact(ContactKind.PARTIAL_FACE),
@@ -406,10 +426,10 @@ def _slab_coordinates(x: Brick, y: Brick):
     x's origin o. None if x lies beyond a slab, all its values below lo or
     all above hi: x is then in an open half-space that misses y.
     """
-    key, slots = y._frame
+    key, row, _ = y._frame
     o, out = x.origin, []
-    for (_, lo, hi, _, _), (n, least, most, side, rates) in zip(
-            slots, _extents(x.u, x.v, x.w, key)):
+    for lo, hi, (n, least, most, side, rates) in zip(
+            row[::2], row[1::2], _extents(x.u, x.v, x.w, key)):
         base = n.dot(o)
         lo, hi = lo - base, hi - base
         if most < lo or least > hi:
@@ -491,11 +511,11 @@ def _classify_from_vertices(a: Brick, b: Brick, dim: int, verts) -> Contact:
     if dim < 0:
         return DISJOINT
     if dim == 0:
-        return Contact(ContactKind.POINT, (verts[0],))
+        return _new_contact(ContactKind.POINT, (verts[0],))
     if dim == 1:
         seg = (verts[0], verts[-1])  # verts sorted and collinear
         if seg in a.edge_index and seg in b.edge_index:
-            return Contact(ContactKind.WHOLE_EDGE, seg)
+            return _new_contact(ContactKind.WHOLE_EDGE, seg)
         return Contact(ContactKind.PARTIAL_EDGE)
     if dim == 2:
         vset = frozenset(verts)
@@ -508,30 +528,31 @@ def _classify_from_vertices(a: Brick, b: Brick, dim: int, verts) -> Contact:
 
 
 def _coframed_contact(a: Brick, b: Brick) -> Contact:
-    """Classify a ∩ b for bricks of one frame from their frame intervals: the
-    first empty overlap is DISJOINT, and each slot that only touches fixes
-    a's generator in that slot to one end, which gives face indices and the
-    vertex codes of the contact points. A contact without points is shared."""
-    dim, code, whole = 0, 0, True  # dim: the slots whose overlap is open
-    for (_, alo, ahi, ja, fla), (_, blo, bhi, jb, flb) in zip(a._frame[1], b._frame[1]):
-        lo, hi = alo if alo > blo else blo, ahi if ahi < bhi else bhi
-        if lo < hi:
-            dim, free = dim + 1, ja
-            whole = whole and alo == blo and ahi == bhi
-        elif lo == hi:  # side 1 is the end that generator j reaches
-            side = (lo == ahi) != fla
-            code |= side << (2 - ja)
-            face = 6 * (2 * ja + side) + 2 * jb + ((lo == bhi) != flb)
-        else:
-            return DISJOINT
-    if dim == 3 or not whole:
+    """Classify a ∩ b for bricks of one frame from their rows, slot by slot:
+    the first slot whose intervals are apart is DISJOINT, and each one where
+    they only touch fixes a's generator there to one end, which gives face
+    indices and the vertex codes of contact points (a contact without any is shared)."""
+    _, (al0, ah0, al1, ah1, al2, ah2), turns = a._frame
+    _, (bl0, bh0, bl1, bh1, bl2, bh2), b_turns = b._frame
+    if bh0 < al0 or bl0 > ah0 or bh1 < al1 or bl1 > ah1 or bh2 < al2 or bl2 > ah2:
+        return DISJOINT
+    up0, up1, up2 = bl0 == ah0, bl1 == ah1, bl2 == ah2  # b starts where a ends
+    t0, t1, t2 = up0 or bh0 == al0, up1 or bh1 == al1, up2 or bh2 == al2  # only touch
+    dim = 3 - t0 - t1 - t2
+    if dim == 3 or dim != ((al0 == bl0 and ah0 == bh0) + (al1 == bl1 and ah1 == bh1)
+                           + (al2 == bl2 and ah2 == bh2)):  # an open slot not equal
         return _IMPROPER[dim]
-    if dim == 2:
-        return _WHOLE_FACES[face]
+    if dim == 2:  # side 1 of a face is the end that its generator j reaches
+        k, up = (0, up0) if t0 else (2, up1) if t1 else (4, up2)
+        return _WHOLE_FACES[12 * turns[k] + 6 * (up != turns[k + 1])
+                            + 2 * b_turns[k] + (up == b_turns[k + 1])]
+    (j0, f0, j1, f1, j2, f2), vs = turns, a.vertices
+    code = ((t0 and up0 != f0) << 2 - j0 | (t1 and up1 != f1) << 2 - j1
+            | (t2 and up2 != f2) << 2 - j2)
     if dim == 1:
-        p, q = a.vertices[code], a.vertices[code | 4 >> free]
-        return Contact(ContactKind.WHOLE_EDGE, (p, q) if p < q else (q, p))
-    return Contact(ContactKind.POINT, (a.vertices[code],))
+        p, q = vs[code], vs[code | 4 >> (j2 if t0 and t1 else j1 if t0 else j0)]
+        return _new_contact(ContactKind.WHOLE_EDGE, (p, q) if p < q else (q, p))
+    return _new_contact(ContactKind.POINT, (vs[code],))
 
 
 def _skew_contact(a: Brick, b: Brick) -> Contact:
@@ -579,6 +600,5 @@ def classify_contact(a: Brick, b: Brick) -> Contact:
     origin, contact = hit
     if not contact.points:
         return contact
-    t = a.origin - origin
-    return Contact(contact.kind, tuple(p + t for p in contact.points),
-                   contact.face_a, contact.face_b)
+    t = a.origin - origin  # a contact with points is a POINT or a WHOLE_EDGE
+    return _new_contact(contact.kind, tuple(p + t for p in contact.points))

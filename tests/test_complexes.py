@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -41,6 +42,7 @@ from bricks.geometry import (
     Contact,
     ContactKind,
     GeometryError,
+    _slotted,
     brick_from_box,
     classify_contact,
     det3,
@@ -311,6 +313,53 @@ class TestSlottedRecords:
         assert hash(first.contact) == hash(second.contact)
         assert len({first, second}) == 1
 
+    # the second unit cube's corner, for each kind of contact with the first
+    CORNERS = {ContactKind.POINT: (1, 1, 1), ContactKind.WHOLE_EDGE: (1, 1, 0),
+               ContactKind.WHOLE_FACE: (1, 0, 0)}
+
+    @pytest.mark.parametrize("kind", CORNERS, ids=lambda kind: kind.value)
+    def test_records_from_validate_are_intact(self, kind):
+        """The records validate builds for a corner pinch, an edge touch and
+        a face pair of unit cubes, and of their sheared twins (ints, and
+        Fractions), behave as records built by the constructors: no dict,
+        every field frozen, equal with an equal hash, and equal again after
+        pickle and deepcopy."""
+        cubes = brick_complex([brick_from_box((0, 0, 0), (1, 1, 1), "a"),
+                               brick_from_box(self.CORNERS[kind],
+                                              [x + 1 for x in self.CORNERS[kind]], "b")])
+        halves = ((1, Fraction(1, 2), 0), (0, 1, Fraction(1, 3)), (0, 0, 1))
+        for c in (cubes, transformed(cubes, SHEAR), transformed(cubes, halves)):
+            (pc,) = validate(c).contacts
+            got = pc.contact
+            assert got.kind is kind and (got.face_a is None) == bool(got.points)
+            built = PairContact(pc.a, pc.b,
+                                Contact(kind, got.points, got.face_a, got.face_b))
+            for record, twin in ((pc, built), (got, built.contact)):
+                assert not hasattr(record, "__dict__")
+                for name in (f.name for f in dataclasses.fields(record)):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(record, name, getattr(record, name))
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        delattr(record, name)
+                for copied in (record, pickle.loads(pickle.dumps(record)),
+                               copy.deepcopy(record)):
+                    assert type(copied) is type(twin) and copied == twin
+                    assert hash(copied) == hash(twin)
+
+    def test_slotted_refuses_a_trailing_field_it_would_not_default(self):
+        """_slotted sets every field past the third to None, so it refuses a
+        class where that is not the field's default."""
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Tagged:
+            x: int
+            y: int
+            z: int = 0
+            tag: str = "t"
+
+        with pytest.raises(TypeError, match="^Tagged: a field past the third"):
+            _slotted(Tagged)
+        assert _slotted(Contact)(ContactKind.POINT, ()) == Contact(ContactKind.POINT, ())
+
     @pytest.mark.parametrize("name", sorted(SKEW))
     def test_skew_report_survives_pickle_and_deepcopy(self, name):
         c = self.SKEW[name]()
@@ -568,6 +617,58 @@ def test_pair_budget_refuses_the_first_pair_past_it(monkeypatch):
         validate(identical_cubes(220))
     assert len(calls) == 24_080
     assert issubclass(PairBudgetError, ValueError)
+
+
+def test_pair_budget_cuts_inside_a_row(monkeypatch):
+    """221 identical cubes have a budget of 24,144. Row n of the scan makes
+    the 221 - n pairs of it and the later rows, and rows 1 to 202 make
+    24,139 pairs, so the budget falls inside row 203's 18: validate
+    classifies exactly 24,144 pairs, draws one more from the source, and
+    raises."""
+    assert pair_budget(221) == 24_144
+    calls, drawn = [], []
+
+    def counting(a, b):
+        calls.append(None)
+        return classify_contact(a, b)
+
+    classified = complexes._classified
+
+    def watching(bricks, pairs):
+        def drawing():
+            for pair in pairs:
+                drawn.append(pair)
+                yield pair
+
+        return classified(bricks, drawing())
+
+    monkeypatch.setattr("bricks.complexes.classify_contact", counting)
+    monkeypatch.setattr(complexes, "_classified", watching)
+    with pytest.raises(PairBudgetError,
+                       match="^221 bricks need more than the budget of 24144 pair"):
+        validate(identical_cubes(221))
+    assert len(calls) == 24_144 and len(drawn) == 24_145
+
+
+def peak_traced_bytes(run) -> int:
+    """The most memory that Python allocated at once while run() raised
+    PairBudgetError, counted from when run was called."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(PairBudgetError):
+            run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_budget_stops_the_scan_in_bounded_memory(monkeypatch):
+    """1,000 identical cubes meet in 499,500 pairs, about 35 MB as a list of
+    tuples. The scan makes one row's pairs at a time, so validate stops at a
+    budget of 3,000 holding at most a few rows' worth."""
+    monkeypatch.setattr(complexes, "PAIR_BUDGET", (0, 3000))
+    cubes = identical_cubes(1000)
+    assert peak_traced_bytes(lambda: validate(cubes)) < 4_000_000
 
 
 def test_suite_complexes_classify_at_most_half_the_pair_budget(monkeypatch):

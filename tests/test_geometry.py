@@ -6,7 +6,7 @@ over all triples of defining planes for skew pairs.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import ceil, floor
 
 import pytest
@@ -576,6 +576,50 @@ def test_coframed_intervals_match_clip(pair):
         assert typed(classify_contact(x, y)) == typed(clip_contact(x, y))
 
 
+# b's interval on one frame coordinate against a's [0, 3]: apart below,
+# touching below, overlapping in part, equal, strictly inside, touching above
+# and apart above
+RELATIONS = ((-2, -1), (-1, 0), (-1, 1), (0, 3), (1, 2), (3, 4), (4, 5))
+
+
+def relation_table():
+    """(a, b) in the non-unimodular frame for each of the 343 combinations of
+    RELATIONS on the three frame coordinates, b under one generator order
+    and sign; then for the 21 cases that vary one coordinate and keep the
+    other two equal, b under each of the 6 orders and 8 sign patterns. a
+    reverses the two frame directions that the first b keeps, so in each
+    slot one of the two bricks runs against the frame."""
+    frame, equal = FRAMES["non-unimodular"], RELATIONS[3]
+    a = framed("a", frame, *zip(*[equal] * 3), (1, 2, 0), (0, 2))
+    for relation in product(RELATIONS, repeat=3):
+        yield a, framed("b", frame, *zip(*relation), (2, 0, 1), (1,))
+    for k, varied in product(range(3), RELATIONS):
+        relation = [varied if i == k else equal for i in range(3)]
+        for order, signs in product(permutations(range(3)), product((0, 1), repeat=3)):
+            negate = [i for i in range(3) if signs[i]]
+            yield a, framed("b", frame, *zip(*relation), order, negate)
+
+
+def test_coframed_relation_table_matches_clip():
+    """Every combination of interval relations, and every generator order and
+    sign of a brick, so every (j, flip) of each slot, reaches the co-framed
+    classifier; in both orders it agrees with the edge clip. Construction
+    keeps det > 0, so the 48 orders and signs give 24 bricks' turns."""
+    pairs = list(relation_table())
+    assert len(pairs) == 343 + 21 * 48
+    turns = {b._frame[2] for _, b in pairs}
+    assert len(turns) == 24
+    assert all(len({t[k:k + 2] for t in turns}) == 6 for k in (0, 2, 4))
+    kinds = set()
+    for a, b in pairs:
+        assert a._frame[0] == b._frame[0]
+        for x, y in ((a, b), (b, a)):
+            contact = classify_contact(x, y)
+            assert typed(contact) == typed(clip_contact(x, y))
+            kinds.add(contact.kind)
+    assert kinds == set(ContactKind)
+
+
 # Bricks of the unimodular frame, given by their frame coordinates, met in
 # turn by one axis-aligned brick: apart, touching and overlapping it
 MEMO_PARTNERS = {
@@ -646,15 +690,16 @@ def direct_geometry(b: Brick):
                  for i in range(3))
     dirs = [primitive(g) for g in b.generators]
     key = tuple(sorted(dirs))
-    slots = []
+    row, turns = (), ()
     for k in range(3):
         n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
         j = dirs.index(key[k])
         heights = [exact(n.dot(p)) for p in vertices]
-        slots.append((n, min(heights), max(heights), j, n.dot(b.generators[j]) < 0))
+        row += min(heights), max(heights)
+        turns += j, n.dot(b.generators[j]) < 0
     rectilinear = all(sum(1 for c in g if c != 0) == 1 for g in b.generators)
     box = aabb if rectilinear else None
-    return exact(det3(*b.generators)), (key, tuple(slots)), aabb, vertices, box
+    return exact(det3(*b.generators)), (key, row, turns), aabb, vertices, box
 
 
 def with_types(value):

@@ -15,15 +15,17 @@ reason a pair is skipped and each kind of parent contact.
 
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 
 import pytest
 
-from bricks import refinement
+from bricks import complexes, refinement
 from bricks.complexes import (
     BrickComplex,
+    PairBudgetError,
     _aabb_meeting_pairs,
     validate,
 )
@@ -291,6 +293,32 @@ def test_a_thousand_slab_skew_split_classifies_only_neighbours(monkeypatch):
     report = counted(monkeypatch, fresh_calls, lambda: validate(copy))
     assert len(fresh_calls) == 999
     assert typed_report(report) == typed_report(validate(refined))
+
+
+def test_crossed_slab_splits_stop_at_the_budget_in_bounded_memory(monkeypatch):
+    """Two cubes share a face; one is cut into 1,000 slabs across x, the
+    other into 1,000 across y, so each slab of one meets each of the other
+    in that face: 1,000,000 lineage pairs, about 70 MB as a list of tuples.
+    The lineage hands them over one at a time, so at a budget of 3,000
+    apply_schedule classifies exactly that many, 1,998 of them siblings,
+    raises, and never holds more than a few MB."""
+    c = BrickComplex(tuple(Brick(name, vec3(0, 0, z), vec3(1, 0, 0), vec3(0, 1, 0),
+                                 vec3(0, 0, 1)) for name, z in (("a", 0), ("b", 1))))
+    cuts = tuple(Fraction(k, 1000) for k in range(1, 1000))
+    schedule = {"a": SplitAt(0, cuts), "b": SplitAt(1, cuts)}
+    assert [pc.contact.kind for pc in validate(c).contacts] == [ContactKind.WHOLE_FACE]
+    monkeypatch.setattr(complexes, "PAIR_BUDGET", (0, 3000))
+    calls = []
+    tracemalloc.start()
+    try:
+        with pytest.raises(PairBudgetError,
+                           match="^2000 bricks need more than the budget of 3000 pair"):
+            counted(monkeypatch, calls, lambda: apply_schedule(c, schedule))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 3000 and peak < 10_000_000
+    assert sum(a[0] == b[0] for a, b in calls) == 1998
 
 
 def split_cases():
