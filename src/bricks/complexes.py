@@ -28,6 +28,7 @@ from .geometry import (
     Brick,
     Contact,
     ContactKind,
+    _WHOLE_FACE,
     _quoted,
     _skew_memo_scope,
     _slotted,
@@ -138,9 +139,7 @@ class ValidationReport:
         return not self.improper_pairs
 
     def whole_face_contacts(self) -> tuple[PairContact, ...]:
-        return tuple(
-            pc for pc in self.contacts if pc.contact.kind is ContactKind.WHOLE_FACE
-        )
+        return tuple(pc for pc in self.contacts if pc.contact.kind is _WHOLE_FACE)
 
     def check_matches(self, complex: BrickComplex) -> None:
         """Raise StaleReportError unless the report was built from this

@@ -15,7 +15,7 @@ from itertools import combinations, product
 from typing import Mapping, Union
 
 from .complexes import BrickComplex, ValidationReport, validate
-from .geometry import Brick, ContactKind, Scalar, _extents, _quoted, format_scalar
+from .geometry import Brick, Scalar, _WHOLE_FACE, _extents, _quoted, format_scalar
 from .surface import _face_masks
 
 
@@ -215,7 +215,7 @@ def _lineage_pairs(bricks, report: ValidationReport, spans, schedule):
         (p, near_p, split), (q, near_q, split_q) = parents[pc.a], parents[pc.b]
         contact = pc.contact
         ends = (p.face_polygon(contact.face_a)[::2]
-                if contact.kind is ContactKind.WHOLE_FACE else contact.points)
+                if contact.kind is _WHOLE_FACE else contact.points)
         near_q = _meeting(bricks, near_q, q, ends)
         for i in _meeting(bricks, near_p, p, ends):
             for j in near_q:

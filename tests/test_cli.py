@@ -329,6 +329,26 @@ def test_report_bytes_are_pinned(capsys, tmp_path, name):
     assert digests == CLI_DIGESTS[name]
 
 
+# sha256 of the file that refine --standard-zz writes from zz-embedded refined
+# once (72 -> 416 bricks), by cube side: ints at side 4, and at side 3
+# Fractions that halving makes from Fractions. Recorded before Vec3.scale and
+# Brick construction skipped Fraction arithmetic where products are integral,
+# which must write the same bytes.
+REFINE_DIGESTS = {
+    4: "bd7fbf577647fdea2e9dd758e4033f544ecaaee51d171683629ecfeb699e07cf",
+    3: "f840b253f945db397ddc532236fdc6f770ffa97cf3b148e8183c3606624170b2",
+}
+
+
+@pytest.mark.parametrize("side", [4, 3])
+def test_refine_bytes_are_pinned(capsys, tmp_path, side):
+    source, written = tmp_path / "in.bricks", tmp_path / "out.bricks"
+    source.write_text(emit_complex(zz_level(side, 1)))
+    code, _, _ = run(capsys, "refine", str(source), "--standard-zz", "-o", str(written))
+    assert code == 0
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == REFINE_DIGESTS[side]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,11 @@ half-resolution rasterization of box intersections, and vertex enumeration
 over all triples of defining planes for skew pairs.
 """
 
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations, product
 from math import ceil, floor
@@ -14,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bricks.complexes import BrickComplex, validate
-from bricks.fileformats import emit_complex, parse_complex
+from bricks.fileformats import ParseError, emit_complex, parse_complex
 from bricks.geometry import (
     DISJOINT,
     EDGE_CODES,
@@ -35,6 +40,13 @@ from bricks.geometry import (
     format_scalar,
     scalar,
     vec3,
+)
+from bricks.refinement import (
+    _grid,
+    expand,
+    is_cube_shaped,
+    long_direction,
+    standard_zz_schedule,
 )
 from support import (
     fresh,
@@ -107,6 +119,56 @@ class TestScalar:
         assert format_scalar(Fraction(-3, 6)) == "-1/2"
         assert format_scalar(7) == "7"
         assert format_scalar(Fraction(6, 3)) == "2"
+
+
+# --- every path that makes a brick ------------------------------------------
+#
+# The constructor, a parsed row (ASCII integers, or n/d scalars), a _grid
+# child, dataclasses.replace, pickle and deepcopy all run Brick.__init__.
+
+PATHS = ("constructor", "parse-row", "parse-nd-row", "grid", "replace", "pickle",
+         "deepcopy")
+
+# (origin, u, v, w) as vec3 arguments: int and Fraction coordinates, each
+# with det(u, v, w) > 0 and < 0
+PATH_INPUTS = (
+    ((1, 2, 3), (2, 0, 0), (0, 3, 0), (0, 0, 1)),
+    ((0, -1, 5), (2, 1, 0), (1, 0, 4), (0, 3, 1)),
+    (("1/2", 0, "-7/3"), ("3/2", 0, 0), (0, "1/3", 0), (0, 0, 5)),
+    ((0, "5/4", 1), (1, 0, "1/2"), (0, 2, 0), (0, 0, "-3/2")),
+)
+
+
+class Half(Fraction):
+    """A Fraction subclass: no exact coordinate."""
+
+
+def brick_row(fields, nd: bool) -> str:
+    """A brick line of fields; with nd, every scalar written n/d, so the row
+    is not read as ASCII integers."""
+    scalars = [Fraction(c) for k in ("origin", "u", "v", "w") for c in fields[k]]
+    text = (f"{c.numerator}/{c.denominator}" if nd else format_scalar(c) for c in scalars)
+    return f"brick {fields['id']} " + " ".join(text)
+
+
+def made_by(path: str, fields: dict) -> Brick:
+    """A brick of fields (id, origin, u, v, w) made along path. Pickle,
+    deepcopy and _grid start from a brick whose fields were set past its
+    checks, as a tampered or corrupted one would be."""
+    if path == "constructor":
+        return Brick(**fields)
+    if path == "replace":
+        return dataclasses.replace(UNIT, **fields)
+    if path.startswith("parse"):
+        return parse_complex(brick_row(fields, path == "parse-nd-row")).bricks[0]
+    source = Brick("p", vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1))
+    vars(source).update(fields)
+    if path == "pickle":
+        return pickle.loads(pickle.dumps(source))
+    if path == "deepcopy":
+        return copy.deepcopy(source)
+    vars(source)["id"] = fields["id"].removesuffix("/c")
+    return _grid(source, ((), (), ()), lambda cell: "c")[0]
 
 
 class TestBrick:
@@ -201,6 +263,106 @@ class TestBrick:
             assert {c >> (2 - f // 2) & 1 for c in cycle} == {f % 2}
             p = b.face_polygon(f)
             assert (p[1] - p[0]).cross(p[3] - p[0]).dot(p[0] - center) > 0
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_every_path_makes_the_same_brick(self, path):
+        """Equal bricks, the same scalar types, det > 0 and v, w swapped
+        exactly when det(u, v, w) < 0; only the five fields are held until a
+        cached attribute is read, also after pickle or deepcopy of a brick
+        that had read them."""
+        flips = []
+        for origin, u, v, w in PATH_INPUTS:
+            o, u, v, w = vec3(*origin), vec3(*u), vec3(*v), vec3(*w)
+            b = made_by(path, {"id": "p/c", "origin": o, "u": u, "v": v, "w": w})
+            flipped = det3(u, v, w) < 0
+            flips.append(flipped)
+            expected = ("p/c", o, u, *((w, v) if flipped else (v, w)))
+            assert type(b) is Brick
+            assert with_types((b.id, b.origin, b.u, b.v, b.w)) == with_types(expected)
+            assert set(vars(b)) == {"id", "origin", "u", "v", "w"}
+            assert b.det > 0 and b.det == abs(det3(u, v, w))
+            assert b == Brick(*expected) and hash(b) == hash(Brick(*expected))
+            assert b.vertices == direct_geometry(b)[3]
+            if path in ("pickle", "deepcopy"):  # a copy leaves the cache behind
+                copied = (pickle.loads(pickle.dumps(b)) if path == "pickle"
+                          else copy.deepcopy(b))
+                assert "vertices" in vars(b)
+                assert set(vars(copied)) == {"id", "origin", "u", "v", "w"}
+                assert with_types(copied.vertices) == with_types(b.vertices)
+        assert flips == [False, True, False, True]
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_every_path_refuses_the_same_inputs(self, path):
+        """A bool, float or Fraction-subclass coordinate (or twelve bools), an
+        origin or generator that is not a Vec3, an id that is not a str and
+        zero volume raise GeometryError, as a ParseError's cause from a parsed
+        row. A row of text holds only numbers, and _grid formats a child's
+        label and scales its generators (True * 1 is 1), so those paths get
+        the bad values they can hold."""
+        cube = {"id": "p/c", "origin": vec3(0, 0, 0), "u": vec3(1, 0, 0),
+                "v": vec3(0, 1, 0), "w": vec3(0, 0, 1)}
+        types = "Vec3s of ints and Fractions"
+        bad = [({"w": vec3(1, 1, 0)}, "zero volume")]
+        if not path.startswith("parse"):
+            for origin, w in [(Vec3(True, 0, 0), Vec3(0, 0, True)),
+                              (Vec3(0.0, 0, 0), Vec3(0, 0, 1.0)),
+                              (Vec3(Half(1, 2), 0, 0), Vec3(0, 0, Half(1, 2))),
+                              ((0, 0, 0), (0, 0, 1))]:
+                bad.append(({"origin": origin}, types))
+                if path != "grid":
+                    bad.append(({"w": w}, types))
+            bad.append(({k: Vec3(*map(bool, p)) for k, p in cube.items() if k != "id"},
+                        types))
+            if path != "grid":
+                bad.append(({"id": 5}, "must be a str, not int"))
+        for fields, message in bad:
+            with pytest.raises((GeometryError, ParseError)) as info:
+                made_by(path, dict(cube, **fields))
+            error = info.value.__cause__ if path.startswith("parse") else info.value
+            assert type(error) is GeometryError and message in str(error)
+
+    @pytest.mark.parametrize("name", ["_frame", "vertices", "edge_index", "aabb", "box",
+                                      "det"])
+    def test_cached_attribute_is_kept_in_the_instance_dict(self, name):
+        """The first read stores the value in the brick's __dict__; the
+        second returns that same object, equal to a fresh brick's."""
+        for b in (Brick("s", vec3("1/2", 0, 1), vec3(2, 1, 0), vec3(0, 3, 1), vec3(1, 0, 4)),
+                  box((0, "1/3", 0), (2, 1, 1), "r")):
+            assert name not in vars(b)
+            first = getattr(b, name)
+            assert vars(b)[name] is first
+            assert getattr(b, name) is first
+            assert first == getattr(fresh(b), name)
+
+    def test_threads_reading_fresh_bricks_get_the_serial_values(self):
+        """Four threads, more than the host's cores, read _frame and vertices
+        of the same fresh bricks at once, thread switches forced often: each
+        gets what one thread reading other fresh copies gets, and all get the
+        same objects, which stay cached."""
+        source = zz_level(3, 1).bricks
+        serial = [(b._frame, b.vertices) for b in map(fresh, source)]
+        bricks = [fresh(b) for b in source]
+        start, results = threading.Barrier(4, timeout=60), [None] * 4
+
+        def read(k):
+            start.wait()
+            results[k] = [(b._frame, b.vertices) for b in bricks]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert with_types(got) == with_types(serial)
+        for b, *reads in zip(bricks, *results):
+            assert all(first is b._frame and second is b.vertices for first, second in reads)
 
 
 coords = st.integers(min_value=0, max_value=6)
@@ -855,3 +1017,55 @@ def test_refined_zz_levels_fill_one_entry_per_triple_and_frame():
     _extents.cache_clear()
     assert validate(c).properly_joined
     assert 0 < _extents.cache_info().currsize <= 121
+
+
+# --- Vec3.scale ---------------------------------------------------------------
+#
+# scale forms each product as an exact quotient, a Fraction only where it is
+# not integral; it must give what multiplying and demoting gives.
+
+INT_VECTORS = st.builds(Vec3, *[st.integers(-10**6, 10**6)] * 3)
+FACTORS = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    st.sampled_from([Fraction(2, 1), Fraction(-3, 1), Fraction(0, 1)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(VECTORS, INT_VECTORS), FACTORS)
+@example(Vec3(3, 1, -5), HALF)  # odd components stay Fractions
+@example(Vec3(7, -9, 2), Fraction(-2, 3))
+@example(Vec3(Fraction(3, 7), Fraction(-5, 3), 2), Fraction(-21, 5))
+@example(Vec3(Fraction(3, 2), Fraction(2, 1), -4), Fraction(-1, 2))
+@example(Vec3(Fraction(5, 9), 0, 1), 9)
+def test_scale_matches_the_demoting_product(v, k):
+    got = v.scale(k)
+    assert type(got) is Vec3
+    assert with_types(got) == with_types(Vec3(*(exact(c * k) for c in v)))
+
+
+@pytest.mark.parametrize("side", [4, 3])
+def test_refined_children_have_the_demoting_products_types(side):
+    """Octants and quarters of zz-embedded and of its first refinement, in
+    their cell order: each cut generator is halved and each child's origin
+    moved by the halves of its cell, as multiplying and demoting gives, so
+    side 3 gets Fractions where they are not integral, and side 4 ints."""
+    fractional = False
+    for parent in (*zz_level(side, 0), *zz_level(side, 1)):
+        op = standard_zz_schedule(BrickComplex((parent,)))[parent.id]
+        cut = [True] * 3 if is_cube_shaped(parent) else [
+            k != long_direction(parent) for k in range(3)]
+        halves = [Vec3(*(exact(c * HALF) for c in g)) for g in parent.generators]
+        expected = []
+        for cell in product(*((0, 1) if c else (0,) for c in cut)):
+            origin = parent.origin
+            for k in (k for k in range(3) if cell[k]):
+                origin = Vec3(*(exact(p + q) for p, q in zip(origin, halves[k])))
+            gens = [halves[k] if cut[k] else g for k, g in enumerate(parent.generators)]
+            expected.append((origin, *gens))
+        children = expand(parent, op)
+        got = [(c.origin, c.u, c.v, c.w) for c in children]
+        assert with_types(got) == with_types(expected)
+        fractional |= any(type(x) is Fraction for c in got for p in c for x in p)
+    assert fractional == (side == 3)
