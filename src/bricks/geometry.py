@@ -6,30 +6,33 @@ and ``fractions.Fraction``); no floating point is used anywhere. Whole-face /
 whole-edge equality is an exact question, and midpoint splits introduce
 denominators of 2, so exactness is not optional.
 
-Two bricks whose generators share three directions are co-framed (two
-axis-aligned boxes are the special case). Along the normal of each pair of
-frame directions each brick is an interval, so a co-framed pair is decided
-from three interval overlaps, the oriented-box reduction of Gottschalk, Lin
-& Manocha (OBBTree, 1996), here unrolled on two rows of six interval ends;
-contact points are picked from the vertices into a Contact built without
-its frozen __init__.
 Each brick's slabs come from its frame: one per pair of frame directions,
-with that pair's cross product as normal. A pair of another kind is
-disjoint if one brick lies beyond a slab of the other (its extent along the
-slab's normal ends below the slab or starts above it). Else each brick's
-edges are clipped to the other's slabs, with t-bounds kept as integer-style
-numerator/denominator pairs compared by cross-multiplying, giving exactly
-the vertices of a ∩ b (none iff disjoint); the contact kind follows from
-their affine dimension.
+with that pair's cross product as normal. A pair takes one of three routes.
+Co-framed rows: bricks whose generators share three directions are
+co-framed (two axis-aligned boxes are the special case), each an interval
+along each slab normal, so the pair is decided from three interval
+overlaps, the oriented-box reduction of Gottschalk, Lin & Manocha (OBBTree,
+1996), unrolled on two rows of six interval ends; contact points are picked
+from the vertices into a Contact built without its frozen __init__.
+The planar route: frames that share two directions share their slab;
+intervals on it apart are disjoint, and touching put a ∩ b in one plane,
+where both faces are boxes in a's other two frame coordinates: rows again.
+The edge clip: any other pair is disjoint if one brick lies beyond a slab
+of the other (its extent along the slab's normal ends below the slab or
+starts above it). Else each brick's edges are clipped to the other's slabs,
+with t-bounds kept as integer-style numerator/denominator pairs compared by
+cross-multiplying, giving exactly the vertices of a ∩ b (none iff
+disjoint); the contact kind follows from their affine dimension.
 ``classify_contact`` is total and tests no bounding box: it answers any
 pair, boxes apart or not, and its callers choose which pairs to ask about.
 
 Slab data come from one table, ``_extents``, per generator triple and
 frame: each slab's normal and the extents of the brick placed at the
 origin. Bricks with equal generators share one shape: frame key, own-frame
-entry, AABB and vertex offsets and det, each brick adding its origin. Both
-are thread-safe ``functools.lru_cache``s of 1024 immutable entries, and
-their values are normalized (an integral value is an int). An int plus a
+entry, AABB and vertex offsets and det, each brick adding its origin. With
+``_normals`` per frame and ``_planar`` per pair of frames, all four are
+thread-safe ``functools.lru_cache``s of 1024 immutable entries, and the
+first two's values are normalized (an integral value is an int). An int plus a
 normalized value is normalized, so a brick with an all-int origin adds it
 with no ``_norm``, Vec3 sums and differences of ints skip it too, and
 Vec3.scale makes a Fraction only for a product that is not integral.
@@ -338,18 +341,34 @@ def _shape(u: Vec3, v: Vec3, w: Vec3):
 
 
 @lru_cache(maxsize=1024)
+def _normals(key) -> tuple[Vec3, Vec3, Vec3]:
+    """The slab normals of the frame key: key[k+1] x key[k+2] for slab k."""
+    return tuple(key[(k + 1) % 3].cross(key[(k + 2) % 3]) for k in range(3))
+
+
+@lru_cache(maxsize=1024)
 def _extents(u: Vec3, v: Vec3, w: Vec3, key):
     """The slab table, the only code that computes slab data: per slab k of
     the frame key, (n, min, max, n.p at the 8 vertices in vertex-code order,
     n.g for u, v, w) for the normal n = key[k+1] x key[k+2] and the brick
     u, v, w placed at the origin, normalized as _shape's values are."""
     out = []
-    for k in range(3):
-        n = key[(k + 1) % 3].cross(key[(k + 2) % 3])
+    for n in _normals(key):
         ru, rv, rw = rates = tuple(_norm(n.dot(g)) for g in (u, v, w))
         side = tuple(_norm(a * ru + b * rv + c * rw) for a, b, c in VERTEX_COEFFS)
         out.append((n, min(side), max(side), side, rates))
     return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _planar(key_a, key_b):
+    """(s, t, flipped, key_a's normals) if the frames share exactly two
+    directions, normal to slab s of key_a and (flipped: opposite) t of key_b."""
+    only = [k for k, d in enumerate(key_a) if d not in key_b]
+    if len(only) != 1:
+        return None
+    (s,), (t,) = only, [k for k, d in enumerate(key_b) if d not in key_a]
+    return s, t, _normals(key_a)[s] != _normals(key_b)[t], _normals(key_a)
 
 
 def brick_from_box(min_corner, max_corner, id: str) -> Brick:
@@ -542,13 +561,14 @@ def _classify_from_vertices(a: Brick, b: Brick, dim: int, verts) -> Contact:
     return Contact(ContactKind.VOLUME_OVERLAP)
 
 
-def _coframed_contact(a: Brick, b: Brick) -> Contact:
-    """Classify a ∩ b for bricks of one frame from their rows, slot by slot:
-    the first slot whose intervals are apart is DISJOINT, and each one where
-    they only touch fixes a's generator there to one end, which gives face
-    indices and the vertex codes of contact points (a contact without any is shared)."""
-    _, (al0, ah0, al1, ah1, al2, ah2), turns = a._frame
-    _, (bl0, bh0, bl1, bh1, bl2, bh2), b_turns = b._frame
+def _coframed_contact(a: Brick, row, turns, b_row, b_turns) -> Contact:
+    """Classify a ∩ b from a's row and turns and b's in a's frame (co-framed
+    rows: b's own; the planar route: b's virtual row; never the edge clip),
+    slot by slot: the first slot whose intervals are apart is DISJOINT, and
+    each where they only touch fixes a's generator there to one end, giving
+    face indices and the vertex codes of contact points (one without any is shared)."""
+    al0, ah0, al1, ah1, al2, ah2 = row
+    bl0, bh0, bl1, bh1, bl2, bh2 = b_row
     if bh0 < al0 or bl0 > ah0 or bh1 < al1 or bl1 > ah1 or bh2 < al2 or bl2 > ah2:
         return DISJOINT
     up0, up1, up2 = bl0 == ah0, bl1 == ah1, bl2 == ah2  # b starts where a ends
@@ -571,6 +591,32 @@ def _coframed_contact(a: Brick, b: Brick) -> Contact:
 
 
 def _skew_contact(a: Brick, b: Brick) -> Contact:
+    """Classify a ∩ b for bricks of two frames. The planar route, for frames
+    that share two directions: intervals on that slab's normal n apart are
+    DISJOINT; touching, they put a ∩ b in one plane, where both faces are
+    boxes in a's other two frame coordinates, so _coframed_contact decides
+    it from a's row and b's virtual row: its interval on n, its face's box
+    from two opposite corners, its turn across n. Else the edge clip."""
+    key, row, turns = a._frame
+    b_key, b_row, b_turns = b._frame
+    planar = _planar(key, b_key)
+    if planar is not None:
+        s, t, flipped, normals = planar
+        al, ah = row[2 * s:2 * s + 2]
+        lo, hi = (-b_row[2 * t + 1], -b_row[2 * t]) if flipped else b_row[2 * t:2 * t + 2]
+        if hi < al or lo > ah:
+            return DISJOINT
+        if lo == ah or hi == al:
+            j, flip = b_turns[2 * t], b_turns[2 * t + 1] != flipped
+            bit, vs = 4 >> j, b.vertices  # b's face: generator j at one end
+            (px, py, pz), (qx, qy, qz) = (
+                (vs[bit], vs[7]) if (lo == ah) == flip else (vs[0], vs[7 ^ bit]))
+            virtual = [lo, hi] * 3
+            for k in (s + 1) % 3, (s + 2) % 3:
+                nx, ny, nz = normals[k]
+                x, y = nx * px + ny * py + nz * pz, nx * qx + ny * qy + nz * qz
+                virtual[2 * k:2 * k + 2] = (x, y) if x < y else (y, x)
+            return _coframed_contact(a, row, turns, virtual, (j, flip) * 3)
     verts = _intersection_vertices(a, b)
     return _classify_from_vertices(a, b, _affine_dim(verts), verts)
 
@@ -594,15 +640,19 @@ def _skew_memo_scope():
 def classify_contact(a: Brick, b: Brick) -> Contact:
     """Classify a ∩ b per the proper-joining taxonomy.
 
-    Total on valid bricks; symmetric up to mirrored face indices. Exact: a
-    co-framed pair is decided from its frame intervals, any other pair from
-    the vertices of a ∩ b that the edge clip finds. Inside a validate pass a
-    skew pair that repeats an earlier one up to translation is answered from
-    the pass's memo, its contact points moved; outside a pass, and for
-    co-framed pairs, every call classifies afresh.
+    Total on valid bricks; symmetric up to mirrored face indices. Exact, on
+    one of three routes: co-framed rows; the planar route, for frames that
+    share two directions and a pair apart or only touching on their slab,
+    so in one plane where both faces are boxes in a's other two frame
+    coordinates; else the edge clip, from the vertices of a ∩ b. Inside a
+    validate pass a skew pair that repeats an earlier one up to translation
+    is answered from the pass's memo, its contact points moved; outside a
+    pass, and for co-framed pairs, every call classifies afresh.
     """
-    if a._frame[0] == b._frame[0]:
-        return _coframed_contact(a, b)
+    key, row, turns = a._frame
+    b_key, b_row, b_turns = b._frame
+    if key == b_key:
+        return _coframed_contact(a, row, turns, b_row, b_turns)
     memo = _skew_memo.get()
     if memo is None:
         return _skew_contact(a, b)

@@ -15,7 +15,7 @@ from itertools import combinations, product
 from typing import Mapping, Union
 
 from .complexes import BrickComplex, ValidationReport, validate
-from .geometry import Brick, Scalar, _WHOLE_FACE, _extents, _quoted, format_scalar
+from .geometry import Brick, Scalar, _WHOLE_FACE, _normals, _quoted, format_scalar
 from .surface import _face_masks
 
 
@@ -232,8 +232,8 @@ def _meeting(bricks, children, parent: Brick, ends) -> list[int]:
     the parent's frame is orthogonal to two of its generators, so along it
     the element takes its extremes at those ends."""
     (a0, b0), (a1, b1), (a2, b2) = [
-        (min(ds), max(ds)) for ds in ([n.dot(x) for x in ends] for n, *_ in
-                                      _extents(*parent.generators, parent._frame[0]))]
+        (min(ds), max(ds)) for ds in ([nx * x + ny * y + nz * z for x, y, z in ends]
+                                      for nx, ny, nz in _normals(parent._frame[0]))]
     rows = ((k, bricks[k]._frame[1]) for k in children)
     return [k for k, (l0, h0, l1, h1, l2, h2) in rows if l0 <= b0 and a0 <= h0
             and l1 <= b1 and a1 <= h1 and l2 <= b2 and a2 <= h2]

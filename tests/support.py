@@ -19,6 +19,9 @@ from bricks.geometry import (
     Contact,
     ContactKind,
     Vec3,
+    _affine_dim,
+    _classify_from_vertices,
+    _intersection_vertices,
     classify_contact,
     det3,
     vec3,
@@ -95,7 +98,14 @@ def zz_level(side=4, times=0) -> BrickComplex:
 # --- oracles ------------------------------------------------------------------
 
 
-def classified_report(complex: BrickComplex, pairs=None) -> ValidationReport:
+def clip_contact(a: Brick, b: Brick) -> Contact:
+    """a ∩ b decided by the edge clip alone, from the vertices it finds."""
+    verts = _intersection_vertices(a, b)
+    return _classify_from_vertices(a, b, _affine_dim(verts), verts)
+
+
+def classified_report(complex: BrickComplex, pairs=None,
+                      classify=classify_contact) -> ValidationReport:
     """validate's report from classifying the index pairs given, all
     n(n-1)/2 if None, each outside a pass so that no memo answers it and
     in index order, the contact mirrored where validate, which classifies in
@@ -103,7 +113,7 @@ def classified_report(complex: BrickComplex, pairs=None) -> ValidationReport:
     bricks = complex.bricks
     records = []
     for i, j in combinations(range(len(bricks)), 2) if pairs is None else pairs:
-        contact = classify_contact(bricks[i], bricks[j])
+        contact = classify(bricks[i], bricks[j])
         if contact.kind is ContactKind.DISJOINT:
             continue
         a, b = bricks[i].id, bricks[j].id

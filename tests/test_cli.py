@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from support import transformed, zz_level
@@ -301,6 +302,13 @@ CLI_DIGESTS = {
         "graph": "7cbb33c537080903e1282d4886510b554b91c94abd85e2c206cc0a0e872e694d",
         "genus": "692a5bf85258e454586eebdada9f8f731c772badffeb2bea0cd61cf3c9a9050e",
     },
+    # 416 bricks on Fraction coordinates, with skew pairs that touch across a
+    # slab of both frames
+    "zz-embedded-7/2-refined-twice": {
+        "validate": "8417a575fdf76a4c31319a76a2af250f4a450cae5a279b4505140ef6694a5a1f",
+        "graph": "1042463c05b671519502e8927034a73bc04b0ea7f54bc7ce5da1c8f048b882cc",
+        "genus": "3b6c7e50cae15724ac3f63aaf8ab4fb4bc2c13d6915eee33c409f4c6605f6678",
+    },
 }
 
 
@@ -311,15 +319,17 @@ def digest_input(name: str) -> str:
         return emit_complex(zz_level(4, 1))
     if name == "zz-embedded-side-3":
         return emit_complex(zz_level(3))
+    if name == "zz-embedded-7/2-refined-twice":
+        return emit_complex(zz_level(Fraction(7, 2), 2))
     return emit_complex(fixture(name))
 
 
 @pytest.mark.parametrize("name", [
     "random-7", "block-3x3x3", "sheared-random-7", "zz-embedded-refined",
-    "zz-embedded-side-3",
+    "zz-embedded-side-3", "zz-embedded-7/2-refined-twice",
 ])
 def test_report_bytes_are_pinned(capsys, tmp_path, name):
-    path = tmp_path / f"{name}.bricks"
+    path = tmp_path / f"{name.replace('/', '-')}.bricks"
     path.write_text(digest_input(name))
     digests = {}
     for command in ("validate", "graph", "genus"):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bricks import geometry
 from bricks.complexes import BrickComplex, validate
 from bricks.fileformats import ParseError, emit_complex, parse_complex
 from bricks.geometry import (
@@ -29,9 +30,9 @@ from bricks.geometry import (
     GeometryError,
     Vec3,
     _affine_dim,
-    _classify_from_vertices,
     _extents,
     _intersection_vertices,
+    _planar,
     _shape,
     _slab_coordinates,
     brick_from_box,
@@ -49,6 +50,7 @@ from bricks.refinement import (
     standard_zz_schedule,
 )
 from support import (
+    clip_contact,
     fresh,
     inside,
     mirrored,
@@ -720,11 +722,6 @@ def test_intersection_vertices_match_triple_oracle(a, b):
     assert _affine_dim(ours) == _affine_dim(oracle)
 
 
-def clip_contact(a: Brick, b: Brick):
-    verts = _intersection_vertices(a, b)
-    return _classify_from_vertices(a, b, _affine_dim(verts), verts)
-
-
 @settings(max_examples=200, deadline=None)
 @given(coframed_pairs())
 @coframed_examples
@@ -780,6 +777,100 @@ def test_coframed_relation_table_matches_clip():
             assert typed(contact) == typed(clip_contact(x, y))
             kinds.add(contact.kind)
     assert kinds == set(ContactKind)
+
+
+# Frame pairs for the planar route: b has the frame's first two directions
+# and a third of its own, so the two share the slab of the first two; the
+# shared normals point the same way in the first pair and opposite ways in
+# the second
+PLANAR_FRAMES = (("axis-aligned", (1, 1, 2)), ("non-unimodular", (1, 2, 0)))
+# b's interval on the shared normal against a's [0, 3] in a's third frame
+# coordinate, as (plane of b's face, side of it that b fills): apart,
+# touching and overlapping below, then overlapping, touching and apart above
+NORMAL_RELATIONS = ((-1, -1), (0, -1), (1, -1), (2, 1), (3, 1), (4, 1))
+
+
+def planar_brick(frame, third, plane, way, spans, order=(0, 1, 2), negate=()):
+    """The brick of the frame's first two directions D0, D1 and `third`
+    whose face in the plane c2 = plane, in coordinates c of p = sum c_k D_k,
+    is spans[0] x spans[1] in c0 and c1, filling the side `way` (+1 or -1)
+    of that plane; generators listed in `order`, those in `negate` reversed."""
+    d = [vec3(*f) for f in FRAMES[frame]]
+    g = vec3(*third)
+    if (det3(d[0], d[1], g) * det3(*d) > 0) != (way > 0):
+        g = g.scale(-1)
+    (lo0, hi0), (lo1, hi1) = spans
+    origin = d[0].scale(lo0) + d[1].scale(lo1) + d[2].scale(plane)
+    gens = [d[0].scale(hi0 - lo0), d[1].scale(hi1 - lo1), g]
+    for k in negate:
+        origin, gens[k] = origin + gens[k], gens[k].scale(-1)
+    return Brick("b", origin, *(gens[k] for k in order))
+
+
+def planar_table():
+    """(overlapping on the shared normal, a, b): per frame pair, a as in
+    relation_table and b under one generator order and sign for each of the
+    6 x 49 combinations of NORMAL_RELATIONS and RELATIONS on c0 and c1;
+    then, for the two touching relations and a face on c0 and c1 that is
+    equal, shares an edge or shares a corner, b under each of the 6 orders
+    and 8 sign patterns, both moved by a Fraction vector for odd patterns."""
+    equal, above, below = RELATIONS[3], RELATIONS[5], RELATIONS[1]
+    origin, fractional = Vec3(0, 0, 0), vec3(HALF, "1/3", "-5/4")
+    for frame, third in PLANAR_FRAMES:
+        a = framed("a", FRAMES[frame], (0, 0, 0), (3, 3, 3), (1, 2, 0), (0, 2))
+        cases = [(plane, way, spans, (2, 0, 1), (1,), origin)
+                 for (plane, way), spans in product(
+                     NORMAL_RELATIONS, product(RELATIONS, repeat=2))]
+        for (plane, way), spans, order, signs in product(
+                ((0, -1), (3, 1)), ((equal, equal), (above, equal), (above, below)),
+                permutations(range(3)), product((0, 1), repeat=3)):
+            negate = [k for k in range(3) if signs[k]]
+            cases.append((plane, way, spans, order, negate,
+                          fractional if sum(signs) % 2 else origin))
+        for plane, way, spans, order, negate, t in cases:
+            b = planar_brick(frame, third, plane, way, spans, order, negate)
+            yield plane in (1, 2), moved(a, t), moved(b, t)
+
+
+def moved(x: Brick, t: Vec3) -> Brick:
+    return Brick(x.id, x.origin + t, x.u, x.v, x.w)
+
+
+def test_planar_relation_table_matches_clip(monkeypatch):
+    """Skew pairs whose frames share two directions: b apart from, touching
+    or overlapping a on the shared slab, crossed with every interval
+    relation of b's face on a's other two frame coordinates, and every
+    (j, flip) of b across the shared normal under both of its signs. In
+    both orders the classifier agrees with the edge clip down to scalar
+    types; only the pairs that overlap on the shared slab reach the clip."""
+    pairs = list(planar_table())
+    assert len(pairs) == 2 * (6 * 49 + 2 * 3 * 48)
+    routes = [_planar(a._frame[0], b._frame[0]) for _, a, b in pairs]
+    assert all(routes) and {flipped for _, _, flipped, _ in routes} == {False, True}
+    for flipped in (False, True):
+        across = {b._frame[2][2 * t:2 * t + 2]
+                  for (_, _, b), (_, t, f, _) in zip(pairs, routes) if f is flipped}
+        assert len(across) == 6
+    assert {type(c) for _, a, b in pairs for c in (*a.origin, *b.origin)} == {int, Fraction}
+    kinds = set()
+    for _, a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            contact = classify_contact(x, y)
+            assert typed(contact) == typed(clip_contact(x, y))
+            kinds.add(contact.kind)
+    assert kinds == set(ContactKind)
+
+    def refused(x, y):
+        raise LookupError("the edge clip was reached")
+
+    monkeypatch.setattr(geometry, "_intersection_vertices", refused)
+    for overlapping, a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            if overlapping:
+                with pytest.raises(LookupError):
+                    classify_contact(x, y)
+            else:
+                classify_contact(x, y)
 
 
 # Bricks of the unimodular frame, given by their frame coordinates, met in

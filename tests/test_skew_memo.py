@@ -22,6 +22,7 @@ from bricks import geometry
 from bricks.complexes import (
     BrickComplex,
     _aabb_meeting_pairs,
+    _frame_pairs,
     validate,
 )
 from bricks.constructions import zz_immersed
@@ -35,7 +36,16 @@ from bricks.geometry import (
     det3,
     vec3,
 )
-from support import classified_report, fresh, typed, typed_report, zz_level
+from bricks.refinement import _lineage_pairs, expand, standard_zz_schedule
+from support import (
+    classified_report,
+    clip_contact,
+    fresh,
+    refined,
+    typed,
+    typed_report,
+    zz_level,
+)
 
 HALF = Fraction(1, 2)
 ORIGIN = vec3(0, 0, 0)
@@ -179,6 +189,63 @@ def test_validate_matches_memo_free_classification_on_zz_immersed():
     assert report.improper_pairs
     memo_free = classified_report(c, _aabb_meeting_pairs(c.bricks))
     assert typed_report(report) == typed_report(memo_free)
+
+
+def clipped_by_translation():
+    """A classifier for classified_report that decides each pair of two
+    frames with the edge clip alone, and co-framed pairs with
+    classify_contact. A pair whose memo key it has met is answered from the
+    first pair of that key, its points moved, as the memo does (see
+    test_skew_contacts_move_with_their_bricks): the clip on Fractions is slow."""
+    seen = {}
+
+    def classify(a, b):
+        if a._frame[0] == b._frame[0]:
+            return classify_contact(a, b)
+        key = memo_key(a, b)
+        if key not in seen:
+            seen[key] = a.origin, clip_contact(a, b)
+        origin, contact = seen[key]
+        return shifted(contact, a.origin - origin)
+
+    return classify
+
+
+def checked_pairs(parent: BrickComplex, child: BrickComplex):
+    """The pairs that apply_schedule's checking pass classifies when it
+    refines parent into child by the standard schedule."""
+    schedule, spans = standard_zz_schedule(parent), []
+    for b in parent.bricks:
+        start = spans[-1].stop if spans else 0
+        spans.append(range(start, start + len(expand(b, schedule[b.id]))))
+    return _lineage_pairs(child.bricks, validate(parent), spans, schedule)
+
+
+@pytest.mark.parametrize("side", [4, 3, Fraction(7, 2)])
+def test_reports_match_clip_only_reports(side):
+    """Pairs of two frames that touch or lie apart across a slab both
+    frames have skip the clip; on the paper's objects, a fresh validate of
+    each level and apply_schedule's checking pass of the next one equal
+    reports that decide every pair of two frames from the same pair source
+    with the edge clip alone."""
+    classify = clipped_by_translation()
+    for times in range(3):
+        c = zz_level(side, times)
+        if times:  # c keeps the report of the pass that checked it
+            pairs = checked_pairs(zz_level(side, times - 1), c)
+            checked = classified_report(c, pairs, classify)
+            assert typed_report(validate(c)) == typed_report(checked)
+        c = fresh(c)
+        swept = classified_report(c, _frame_pairs(c.bricks), classify)
+        assert typed_report(validate(c)) == typed_report(swept)
+
+
+def test_reports_match_clip_only_reports_on_zz_immersed():
+    """zz-immersed is improper, so its refinement is swept, not checked."""
+    classify = clipped_by_translation()
+    for c in (zz_immersed(), refined(zz_immersed())):
+        swept = classified_report(c, _frame_pairs(c.bricks), classify)
+        assert typed_report(validate(c)) == typed_report(swept)
 
 
 def test_each_pass_clips_each_key_once(monkeypatch):
