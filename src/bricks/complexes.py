@@ -20,7 +20,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, islice, starmap
 from typing import Iterable, Mapping, Optional
 
@@ -29,6 +28,7 @@ from .geometry import (
     Contact,
     ContactKind,
     _WHOLE_FACE,
+    _cached,
     _quoted,
     _skew_memo_scope,
     _slotted,
@@ -96,7 +96,7 @@ class BrickComplex:
     def labels(self) -> tuple[str, ...]:
         return tuple(b.id for b in self.bricks)
 
-    @cached_property
+    @_cached
     def _report(self) -> ValidationReport:
         # validate()'s memo
         return _classified(self.bricks, self._pairs or _frame_pairs(self.bricks))
@@ -130,7 +130,7 @@ class ValidationReport:
     bricks: tuple[Brick, ...] = field(repr=False, compare=False)
     contacts: tuple[PairContact, ...]
 
-    @cached_property
+    @_cached
     def improper_pairs(self) -> tuple[PairContact, ...]:
         return tuple(pc for pc in self.contacts if pc.contact.improper)
 

@@ -87,6 +87,7 @@ def parse_complex(text: str) -> BrickComplex:
     name = ""
     bricks: list[Brick] = []
     seen: set[str] = set()
+    new = tuple.__new__
     for line, raw, toks in _tokens(text):
         if toks[0] == "name":
             if len(toks) != 2:
@@ -115,16 +116,9 @@ def parse_complex(text: str) -> BrickComplex:
             if nums is None:
                 nums = [_parse_scalar(t, line, raw, i)
                         for i, t in enumerate(scalars, start=2)]
-            try:
-                bricks.append(
-                    Brick(
-                        brick_id,
-                        Vec3(*nums[0:3]),
-                        Vec3(*nums[3:6]),
-                        Vec3(*nums[6:9]),
-                        Vec3(*nums[9:12]),
-                    )
-                )
+            try:  # each scalar is exact and normalized: Vec3s built directly
+                bricks.append(Brick(brick_id, new(Vec3, nums[0:3]), new(Vec3, nums[3:6]),
+                                    new(Vec3, nums[6:9]), new(Vec3, nums[9:12])))
             except GeometryError as exc:
                 raise ParseError(str(exc), line) from exc
         else:

@@ -29,7 +29,8 @@ pair, boxes apart or not, and its callers choose which pairs to ask about.
 Slab data come from one table, ``_extents``, per generator triple and
 frame: each slab's normal and the extents of the brick placed at the
 origin. Bricks with equal generators share one shape: frame key, own-frame
-entry, AABB and vertex offsets and det, each brick adding its origin. With
+entry, AABB and vertex offsets and det, each brick adding its origin on the
+first read of a value it keeps (``_cached``, with no lock). With
 ``_normals`` per frame and ``_planar`` per pair of frames, all four are
 thread-safe ``functools.lru_cache``s of 1024 immutable entries, and the
 first two's values are normalized (an integral value is an int). An int plus a
@@ -54,7 +55,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
@@ -91,11 +92,11 @@ def _quoted(token: str) -> str:
 def scalar(value) -> Scalar:
     """Coerce an int, Fraction, or "n" / "n/d" string to an exact scalar.
 
-    Floats, bools and Fraction subclasses are refused. Strings are ASCII
-    digits with an optional leading "-" (no decimals, exponents, "+" or "_");
-    Python's int digit limit bounds their length.
+    Floats and subclasses of int (bools too) or Fraction are refused.
+    Strings are ASCII digits with an optional leading "-" (no decimals,
+    exponents, "+" or "_"); Python's int digit limit bounds their length.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
+    if type(value) is int:  # exact type: no bool, no IntEnum member
         return value
     if type(value) is Fraction:  # exact type: skips the ABC instance check
         return _norm(value)
@@ -216,6 +217,20 @@ FACE_CYCLES = tuple(
 # --- the brick ------------------------------------------------------------
 
 
+class _cached:
+    """functools.cached_property without the lock it takes on each first read
+    before Python 3.12: the value is stored in the instance __dict__ with
+    setdefault, so concurrent first readers all get the one stored first."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.name, self.func(instance))
+
+
 @dataclass(frozen=True, init=False)
 class Brick:
     """A parallelepiped: an origin plus three independent generator vectors.
@@ -224,8 +239,9 @@ class Brick:
     needed (this preserves the point set). Zero volume is rejected, and so
     are an id that is not a str and an origin or generator that is not a
     Vec3 of ints and Fractions. __init__ (for dataclasses.replace, pickle
-    and copy too) checks once and sets the fields in the instance __dict__,
-    where values fixed by them are cached on first read.
+    and copy too) checks once, det from the nine components, and sets the
+    fields in the instance __dict__, where _cached keeps the values fixed by
+    them from their first read on.
     """
 
     id: str
@@ -242,7 +258,8 @@ class Brick:
                 and _EXACT_TYPES.issuperset(map(type, (*origin, *u, *v, *w)))):
             raise GeometryError(f"brick {_quoted(id)}: origin and generators "
                                 "must be Vec3s of ints and Fractions")
-        d = det3(u, v, w)
+        (ux, uy, uz), (vx, vy, vz), (wx, wy, wz) = u, v, w  # det3, unrolled
+        d = ux * (vy * wz - vz * wy) + uy * (vz * wx - vx * wz) + uz * (vx * wy - vy * wx)
         if d == 0:
             raise GeometryError(f"brick {_quoted(id)} has zero volume")
         state = self.__dict__
@@ -256,11 +273,11 @@ class Brick:
     def generators(self) -> tuple[Vec3, Vec3, Vec3]:
         return (self.u, self.v, self.w)
 
-    @cached_property
+    @_cached
     def det(self) -> Scalar:
         return _shape(self.u, self.v, self.w)[4]
 
-    @cached_property
+    @_cached
     def vertices(self) -> tuple[Point3, ...]:
         ox, oy, oz = self.origin
         offsets = _shape(self.u, self.v, self.w)[3]
@@ -270,7 +287,7 @@ class Brick:
         return tuple(Vec3(_norm(ox + x), _norm(oy + y), _norm(oz + z))
                      for x, y, z in offsets)
 
-    @cached_property
+    @_cached
     def edge_index(self) -> dict[tuple[Point3, Point3], int]:
         """Edge index of each of the 12 edges, keyed by its sorted end points."""
         vs = self.vertices
@@ -282,7 +299,7 @@ class Brick:
         vs = self.vertices
         return tuple(vs[c] for c in FACE_CYCLES[face_index])
 
-    @cached_property
+    @_cached
     def aabb(self) -> tuple[tuple[Scalar, Scalar], ...]:
         ends = _shape(self.u, self.v, self.w)[2]
         if _ints(self.origin):
@@ -290,7 +307,7 @@ class Brick:
         return tuple((_norm(c + lo), _norm(c + hi))
                      for c, (lo, hi) in zip(self.origin, ends))
 
-    @cached_property
+    @_cached
     def box(self) -> Optional[tuple[tuple[Scalar, Scalar], ...]]:
         """Axis intervals if the brick is rectilinear, else None.
 
@@ -300,16 +317,18 @@ class Brick:
         """
         return self.aabb if self._frame[0] == _AXIS_FRAME else None
 
-    @cached_property
+    @_cached
     def _frame(self):
         """(key, row, turns): row (lo0, hi0, lo1, hi1, lo2, hi2) holds slab k
         of the brick's own frame (_shape) moved to its origin, the brick being
         the points p with lok <= n.p <= hik for the normal n of that _extents
         entry; turns is _shape's shared (j0, flip0, j1, flip1, j2, flip2)."""
         key, slabs, _, _, _, turns = _shape(self.u, self.v, self.w)
-        o = self.origin
-        row = [base + end for n, *ends, _, _ in slabs
-               for base in [n.dot(o)] for end in ends]
+        o = ox, oy, oz = self.origin
+        row = []
+        for (nx, ny, nz), lo, hi, _, _ in slabs:
+            base = nx * ox + ny * oy + nz * oz  # n.o
+            row += base + lo, base + hi
         return key, tuple(row if _ints(o) else map(_norm, row)), turns
 
 

@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -58,6 +60,7 @@ from bricks.surface import exposed_faces, surface_stats
 from support import (
     affine,
     classified_report,
+    fresh,
     refined,
     standard_chain,
     transformed,
@@ -120,11 +123,17 @@ def test_zz_immersed_improper_with_volume_overlap():
     )
 
 
-def test_improper_pairs_are_computed_once_and_stay_out_of_equality_and_repr():
+def test_improper_pairs_are_computed_once_and_stay_out_of_equality_and_repr(monkeypatch):
     r = validate(zz_immersed())
     copy = ValidationReport(r.bricks, r.contacts)
     text = repr(copy)
-    assert r.improper_pairs is r.improper_pairs
+    asked, improper = [], Contact.improper
+    monkeypatch.setattr(Contact, "improper", property(
+        lambda contact: asked.append(contact) or improper.fget(contact)))
+    first = r.improper_pairs
+    assert first and len(asked) == len(r.contacts)  # each contact asked once
+    asked.clear()
+    assert r.improper_pairs is first and asked == []
     assert r == copy and repr(r) == text
     assert copy.improper_pairs == r.improper_pairs and repr(copy) == text
 
@@ -208,8 +217,38 @@ def test_validate_is_memoized_per_complex(monkeypatch):
     monkeypatch.setattr("bricks.complexes.classify_contact", counting)
     validate(refined)
     assert calls == []
-    validate(BrickComplex(refined.bricks))
+    again = BrickComplex(refined.bricks)
+    report = validate(again)
     assert calls
+    calls.clear()
+    assert validate(again) is report and calls == []
+
+
+def test_threads_validating_one_fresh_complex_get_one_report():
+    """Four threads, more than the host's cores, validate one fresh complex
+    at once, thread switches forced often: each may classify its pairs, but
+    all get the report stored first, which stays cached and equals a serial
+    one."""
+    c = fresh(zz_level(3, 1))
+    start, results = threading.Barrier(4, timeout=60), [None] * 4
+
+    def run(k):
+        start.wait()
+        results[k] = validate(c)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r is validate(c) for r in results)
+    assert typed_report(results[0]) == typed_report(validate(fresh(c)))
 
 
 def test_repeated_pair_report_rejected():

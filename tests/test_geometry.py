@@ -10,6 +10,7 @@ import dataclasses
 import pickle
 import sys
 import threading
+from enum import IntEnum
 from fractions import Fraction
 from itertools import permutations, product
 from math import ceil, floor
@@ -115,6 +116,28 @@ class TestScalar:
         parsed = scalar(text)
         assert parsed == value
         assert type(parsed) is type(value)
+
+    def test_int_subclasses_are_refused_like_fraction_subclasses(self):
+        """An IntEnum member or another int subclass is no exact scalar, as a
+        bool is not: scalar, vec3 and brick_from_box refuse each alike, where
+        brick_from_box once built a brick from hi - lo, a plain int. Plain
+        ints come back as they are, and strings parse as before."""
+
+        class Axis(IntEnum):
+            A = 1
+
+        class Count(int):
+            pass
+
+        for value in (Axis.A, Count(1), True):
+            for make in (scalar, lambda x: vec3(x, 0, 0),
+                         lambda x: brick_from_box((0, 0, 0), (x, 1, 1), "q")):
+                with pytest.raises(GeometryError, match="^not an exact scalar: "):
+                    make(value)
+        big = 10**30
+        assert scalar(big) is big and type(scalar(-3)) is int
+        for text, value in (("7", 7), ("-6/3", -2), ("1/2", Fraction(1, 2))):
+            assert with_types(scalar(text)) == with_types(value)
 
     def test_format(self):
         assert format_scalar(Fraction(1, 2)) == "1/2"
@@ -325,16 +348,27 @@ class TestBrick:
 
     @pytest.mark.parametrize("name", ["_frame", "vertices", "edge_index", "aabb", "box",
                                       "det"])
-    def test_cached_attribute_is_kept_in_the_instance_dict(self, name):
-        """The first read stores the value in the brick's __dict__; the
-        second returns that same object, equal to a fresh brick's."""
+    def test_cached_attribute_is_kept_in_the_instance_dict(self, name, monkeypatch):
+        """Construction reads no shape. The first read reaches _shape and
+        stores the value in the brick's __dict__; the second reaches nothing
+        and returns that same object, equal to a fresh brick's."""
+        calls, shape = [], geometry._shape
+
+        def counting(*triple):
+            calls.append(triple)
+            return shape(*triple)
+
+        monkeypatch.setattr(geometry, "_shape", counting)
         for b in (Brick("s", vec3("1/2", 0, 1), vec3(2, 1, 0), vec3(0, 3, 1), vec3(1, 0, 4)),
+                  Brick("n", vec3(0, 0, 0), vec3(0, 1, 0), vec3(1, 0, 0), vec3(0, 0, 1)),
                   box((0, "1/3", 0), (2, 1, 1), "r")):
-            assert name not in vars(b)
+            assert name not in vars(b) and calls == []
             first = getattr(b, name)
-            assert vars(b)[name] is first
-            assert getattr(b, name) is first
+            assert vars(b)[name] is first and calls
+            calls.clear()
+            assert getattr(b, name) is first and calls == []
             assert first == getattr(fresh(b), name)
+            calls.clear()
 
     def test_threads_reading_fresh_bricks_get_the_serial_values(self):
         """Four threads, more than the host's cores, read _frame and vertices
@@ -1075,12 +1109,18 @@ def skew_pairs(draw):
                 vec3(0, 0, 1)),
           Brick("b", vec3(1, 0, 0), vec3(1, 1, 0), vec3(0, 1, 1), vec3(1, 0, 1))),
          True)
+@example((Brick("a", vec3(0, 0, 0), vec3(0, 0, 1), vec3(0, 1, 0), vec3(-1, Fraction(2, 1), 0)),
+          Brick("b", vec3(0, 0, 0), vec3(0, 0, Fraction(2, 1)), vec3(1, 0, 0),
+                vec3(0, Fraction(2, 1), 0))),
+         False)
 def test_shared_extents_match_direct_formulas(pair, twin_first):
     """A skew pair and its twin, each integral generator component's type
     swapped, classified in both orders on empty caches, the twins first or
-    last: each triple fills one entry for its own frame and one for the
-    other brick's, each equal to its definition in value and type, and both
-    pairs give equal contacts, scalar types included."""
+    last: each triple fills one entry for its own frame and, unless the
+    frames share two directions and the pair is apart or only touches on
+    their common normal (decided without the other frame's slabs), one for
+    the other brick's; each entry equals its definition in value and type,
+    and both pairs give equal contacts, scalar types included."""
     twins = tuple(Brick(x.id, x.origin, *map(twin, x.generators)) for x in pair)
     _shape.cache_clear()
     _extents.cache_clear()
@@ -1088,7 +1128,14 @@ def test_shared_extents_match_direct_formulas(pair, twin_first):
     for a, b in (twins, pair) if twin_first else (pair, twins):
         contacts.append((typed(classify_contact(a, b)), typed(classify_contact(b, a))))
     assert contacts[0] == contacts[1]
-    assert _extents.cache_info().currsize == 4
+    shared = sorted(set(pair[0]._frame[0]) & set(pair[1]._frame[0]))
+    planar = False
+    if len(shared) == 2:
+        n = shared[0].cross(shared[1])
+        (la, ha), (lb, hb) = ((min(h), max(h)) for h in (
+            [n.dot(p) for p in direct_geometry(x)[3]] for x in pair))
+        planar = ha <= lb or hb <= la
+    assert _extents.cache_info().currsize == (2 if planar else 4)
     for x in pair:
         for key in (y._frame[0] for y in pair):
             got = _extents(x.u, x.v, x.w, key)
@@ -1121,6 +1168,48 @@ FACTORS = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=9),
     st.sampled_from([Fraction(2, 1), Fraction(-3, 1), Fraction(0, 1)]),
 )
+
+NON_ZERO_VECTORS = VECTORS.filter(any)
+
+
+@st.composite
+def generator_triples(draw):
+    """Three generators in any order: non-zero u and v, and a third that is
+    free, zero, parallel to u or in the plane of u and v."""
+    u, v = draw(NON_ZERO_VECTORS), draw(NON_ZERO_VECTORS)
+    a, c = draw(COMPONENTS), draw(COMPONENTS)
+    third = draw(st.sampled_from(["free"] * 4 + ["zero", "parallel", "coplanar"]))
+    w = (draw(NON_ZERO_VECTORS) if third == "free" else Vec3(0, 0, 0) if third == "zero"
+         else u.scale(a) if third == "parallel" else u.scale(a) + v.scale(c))
+    return draw(st.permutations((u, v, w)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_triples(), VECTORS)
+@example((Vec3(1, 0, 0), Vec3(0, 0, 0), Vec3(0, 0, 1)), Vec3(0, 0, 0))
+@example((Vec3(1, 2, 0), Vec3(0, 0, Fraction(1, 2)), Vec3(2, 4, 0)), Vec3(1, 0, 0))
+@example((Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(Fraction(1, 3), 2, 0)), Vec3(0, 1, 0))
+@example((Vec3(0, Fraction(2, 1), 0), Vec3(1, 0, 0), Vec3(0, 0, Fraction(1, 2))),
+         Vec3(Fraction(1, 3), 2, Fraction(-5, 4)))
+@example((Vec3(2, 1, 0), Vec3(1, 0, 4), Vec3(0, 3, 1)), Vec3(Fraction(1, 2), 0, -7))
+def test_constructor_determinant_and_frame_row_match_det3_and_dot(gens, origin):
+    """The constructor's unrolled determinant refuses a brick exactly when
+    det3(u, v, w) == 0 and swaps v and w exactly when it is < 0; det is
+    det3 of the stored generators, normalized as _shape keeps it; each frame
+    row entry is n.o plus the slab end, n.o by Vec3.dot, in value and type."""
+    u, v, w = gens
+    d = det3(u, v, w)
+    if d == 0:
+        with pytest.raises(GeometryError, match="^brick 'g' has zero volume$"):
+            Brick("g", origin, u, v, w)
+        return
+    b = Brick("g", origin, u, v, w)
+    assert b.u is u and b.v is (w if d < 0 else v) and b.w is (v if d < 0 else w)
+    assert with_types(b.det) == with_types(exact(det3(b.u, b.v, b.w)))
+    assert b.det == abs(d)
+    slabs = _shape(b.u, b.v, b.w)[1]
+    row = tuple(exact(n.dot(b.origin) + end) for n, lo, hi, _, _ in slabs for end in (lo, hi))
+    assert with_types(b._frame[1]) == with_types(row)
 
 
 @settings(max_examples=300, deadline=None)

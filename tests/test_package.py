@@ -1,4 +1,5 @@
-"""Package surface: the exported names and the absence of bare asserts."""
+"""Package surface: the exported names, and the absence of bare asserts and
+of functools.cached_property."""
 
 import ast
 import types
@@ -24,5 +25,19 @@ def test_no_assert_statements_in_the_library():
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_cached_property_in_the_library():
+    # functools.cached_property takes a lock on each first read before
+    # Python 3.12; geometry._cached stores the first value without one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (isinstance(node, ast.alias) and node.name == "cached_property")
     ]
     assert found == []
